@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite (with the
-# kernel-dispatch tests rerun under both PA_SIMD extremes), then a
+# kernel-dispatch tests rerun under both PA_SIMD extremes), the serving
+# smokes and a short repository-benchmark run, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # cross-thread determinism, parallel eval/training paths, the NDJSON TCP
 # front-end and the sharded serving router), then an
@@ -118,6 +119,19 @@ try:
     proc.stdin.flush()
     for _ in range(4):
         assert json.loads(proc.stdout.readline())["ok"] is True
+
+    # Wire lines that used to abort the process (an unknown POI) or reach
+    # an undefined double->int64 cast get typed errors; serving goes on.
+    for bad in ('{"op":"observe","user":1,"poi":999999,"timestamp":5}',
+                '{"op":"topk","user":1e300,"k":5,"timestamp":5,"id":1e300}'):
+        proc.stdin.write(bad + "\n")
+        proc.stdin.flush()
+        resp = json.loads(proc.stdout.readline())
+        assert resp["ok"] is False and resp["code"] == "bad_request", resp
+        assert resp.get("id") in (None, 1e300), resp
+    proc.stdin.write('{"op":"topk","user":1,"k":5,"timestamp":2000}\n')
+    proc.stdin.flush()
+    assert json.loads(proc.stdout.readline())["ok"] is True
 
     def get(path):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
@@ -245,6 +259,26 @@ try:
                    "net_connections", "net_requests"):
         assert needed in metrics, f"/metrics missing {needed}"
 
+    # Wire lines that used to abort every shard (an unknown POI) or reach
+    # an undefined double->int64 cast get typed bad_request errors, and
+    # both this connection and a fresh one keep being answered. (Sent after
+    # the trace round trip, whose request must stay among the slow-trace
+    # reservoir's K worst.)
+    sock.sendall(b'{"op":"observe","user":1,"poi":999999,"timestamp":5}\n'
+                 b'{"op":"topk","user":1e300,"k":5,"timestamp":5,"id":1e300}\n'
+                 b'{"op":"topk","user":1,"k":5,"timestamp":1500}\n')
+    for _ in range(2):
+        resp = json.loads(f.readline())
+        assert resp["ok"] is False and resp["code"] == "bad_request", resp
+    assert resp["id"] == 1e300, resp
+    resp = json.loads(f.readline())
+    assert resp["ok"] is True and len(resp["pois"]) == 5, resp
+    other = socket.create_connection(("127.0.0.1", port), timeout=10)
+    other.sendall(b'{"op":"topk","user":2,"k":5,"timestamp":1500}\n')
+    resp = json.loads(other.makefile("r").readline())
+    assert resp["ok"] is True and len(resp["pois"]) == 5, resp
+    other.close()
+
     sock.sendall(b'{"op":"quit"}\n')
     resp = json.loads(f.readline())
     assert resp["ok"] is True, resp
@@ -252,12 +286,31 @@ try:
     sock.close()
     assert proc.wait(timeout=30) == 0, proc.returncode
     print("pa_serve listen smoke: OK (2 shards, pipelined NDJSON, "
-          "typed errors, per-shard /metrics, trace round trip, "
-          "graceful drain)")
+          "typed errors, bad wire fields survived, per-shard /metrics, "
+          "trace round trip, graceful drain)")
 finally:
     if proc.poll() is None:
         proc.kill()
 EOF
+
+# Repository benchmark smoke: configure perfbench/ under build/, build and
+# run its self-tests, then a short serve_warm run (the real `pa_serve
+# listen` child under closed-loop load), which must report its top-10
+# reference check and guards as passed.
+bench_target=build/perfbench_target
+cmake -S perfbench -B "$bench_target/perfbench" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build "$bench_target/perfbench" -j"$(nproc)" --target perfbench_test
+"$bench_target/perfbench/perfbench_test"
+CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
+  --workload serve_warm --seed 1 --seconds 2 --trace 0 \
+  | tee build/tier1_perfbench.txt
+tail -n 1 build/tier1_perfbench.txt | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, result
+print("perfbench serve_warm smoke: OK")
+'
 
 if [[ "${1:-}" == "--no-tsan" ]]; then
   exit 0
@@ -280,7 +333,8 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'util_thread_pool_test|parallel_determinism_test|serve_session_store_test|serve_engine_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test|tensor_kernels_test|obs_metrics_test|obs_trace_test|obs_slow_trace_test|obs_health_test|obs_telemetry_test|obs_http_exposition_test|net_server_test|net_trace_test|serve_shard_test'
 
-# ASan/UBSan pass over the checkpoint parser, the serving subsystem, and
+# ASan/UBSan pass over the checkpoint parser, the serving subsystem
+# (including the request-field boundary checks), the top-k selection, and
 # the kernel layer: these tests feed truncated/corrupted byte streams,
 # hammer the session LRU from request paths, and push NaN/inf/denormal edge
 # tensors through every kernel table — exactly where memory bugs and UB
@@ -292,8 +346,8 @@ cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
-  tensor_kernels_test tensor_fusion_test
+  serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|tensor_kernels_test|tensor_fusion_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -1,7 +1,6 @@
 #include "net/ndjson_protocol.h"
 
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <map>
 #include <utility>
@@ -38,15 +37,16 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 
 // The echoed correlation id, if the request carried one. Kept as the raw
 // JsonValue so a string id comes back as a string and a numeric id as a
-// number.
+// number: an integer when it fits int64, else the double it parsed as.
 void EchoId(serve::JsonWriter& w, const serve::JsonValue& id) {
+  int64_t integral = 0;
   switch (id.type) {
     case serve::JsonValue::Type::kString:
       w.Field("id", id.string);
       break;
     case serve::JsonValue::Type::kNumber:
-      if (id.number == std::floor(id.number)) {
-        w.Field("id", static_cast<int64_t>(id.number));
+      if (id.ToInt(&integral)) {
+        w.Field("id", integral);
       } else {
         w.Field("id", id.number);
       }
@@ -54,6 +54,29 @@ void EchoId(serve::JsonWriter& w, const serve::JsonValue& id) {
     default:
       break;  // No id (or an unechoable bool/null): omit the field.
   }
+}
+
+// Reads integer request field `key` through JsonValue::ToInt. An absent or
+// null optional field leaves `*out` at its default; a present one must be
+// an integral number within Int's range. False means bad_request.
+template <typename Int>
+bool IntField(const std::map<std::string, serve::JsonValue>& request,
+              const char* key, bool required, Int* out) {
+  const auto it = request.find(key);
+  if (it == request.end() || it->second.type == serve::JsonValue::Type::kNull) {
+    return !required;
+  }
+  return it->second.ToInt(out);
+}
+
+// Timestamps must also lie within ±2^53 s: each such integer is exact in
+// the double the parser read, and no difference between two of them (the
+// models take Δt) can overflow int64.
+bool TimestampField(const std::map<std::string, serve::JsonValue>& request,
+                    int64_t* out) {
+  constexpr int64_t kMaxTimestamp = int64_t{1} << 53;
+  return IntField(request, "timestamp", /*required=*/false, out) &&
+         *out >= -kMaxTimestamp && *out <= kMaxTimestamp;
 }
 
 // Every envelope echoes the request's trace id ("trace":"<hex>") when one
@@ -138,15 +161,16 @@ void NdjsonDispatcher::HandleLineAsync(
   }
 
   if (op == "observe") {
-    if (!request["user"].is_number() || !request["poi"].is_number()) {
-      done(ErrorLine("bad_request", "observe requires numeric user and poi",
+    poi::Checkin checkin;
+    if (!IntField(request, "user", /*required=*/true, &checkin.user) ||
+        !IntField(request, "poi", /*required=*/true, &checkin.poi) ||
+        !TimestampField(request, &checkin.timestamp)) {
+      done(ErrorLine("bad_request",
+                     "observe requires int32 user and poi, and an integer "
+                     "timestamp within +-2^53 if given",
                      id));
       return;
     }
-    poi::Checkin checkin;
-    checkin.user = static_cast<int32_t>(request["user"].AsInt());
-    checkin.poi = static_cast<int32_t>(request["poi"].AsInt());
-    checkin.timestamp = request["timestamp"].AsInt();
     engine_->ObserveAsync(
         checkin, [id, done = std::move(done)](serve::RequestStatus status) {
           done(status == serve::RequestStatus::kOk ? OkLine(id)
@@ -156,14 +180,16 @@ void NdjsonDispatcher::HandleLineAsync(
   }
 
   if (op == "topk") {
-    if (!request["user"].is_number()) {
-      done(ErrorLine("bad_request", "topk requires numeric user", id));
+    serve::TopKRequest topk;
+    if (!IntField(request, "user", /*required=*/true, &topk.user) ||
+        !IntField(request, "k", /*required=*/false, &topk.k) ||
+        !TimestampField(request, &topk.next_timestamp)) {
+      done(ErrorLine("bad_request",
+                     "topk requires an int32 user, and an int32 k and an "
+                     "integer timestamp within +-2^53 if given",
+                     id));
       return;
     }
-    serve::TopKRequest topk;
-    topk.user = static_cast<int32_t>(request["user"].AsInt());
-    topk.k = request.count("k") ? static_cast<int>(request["k"].AsInt()) : 10;
-    topk.next_timestamp = request["timestamp"].AsInt();
     topk.strict = request["strict"].boolean;
     engine_->TopKAsync(
         topk, [id, done = std::move(done)](serve::TopKResponse response) {
@@ -228,9 +254,11 @@ void NdjsonDispatcher::HandleLineAsync(
     const std::string model = request["model"].is_string()
                                   ? request["model"].string
                                   : options_.default_model;
-    const int version = request["version"].is_number()
-                            ? static_cast<int>(request["version"].AsInt())
-                            : -1;
+    int version = -1;
+    if (!IntField(request, "version", /*required=*/false, &version)) {
+      done(ErrorLine("bad_request", "activate version must be an int32", id));
+      return;
+    }
     // Artifact loading reads and deserializes from disk — off the transport
     // thread. (With PA_THREADS=1 Submit degrades to inline execution; the
     // listener stalls for the load but stays correct.)

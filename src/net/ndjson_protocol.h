@@ -30,7 +30,10 @@ namespace pa::net {
 /// endpoint if the request was captured as a tail-latency outlier.
 ///
 /// Ops: observe, topk (optional "strict":true → unknown_user on cold
-/// users), stats, activate (model store required), quit.
+/// users), stats, activate (model store required), quit. Integer fields
+/// (user, poi, k, timestamp, version) must be integral and in range, and an
+/// observed poi must exist in the model's table; anything else is a
+/// bad_request, never a crash.
 class NdjsonDispatcher {
  public:
   struct Options {

@@ -85,13 +85,17 @@ bool NdjsonServer::Start(NdjsonServerConfig config, Handler handler,
 }
 
 void NdjsonServer::Reply(uint64_t conn_id, uint64_t seq, std::string line) {
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
+    was_empty = completions_.empty();
     completions_.push_back(
         Completion{conn_id, seq, std::move(line), obs::TraceClockNs()});
   }
-  // Wake the poll loop; a full pipe already guarantees a pending wake.
-  if (wake_pipe_[1] >= 0) {
+  // Wake the poll loop on the empty -> non-empty edge only. The loop drains
+  // the pipe before it takes the queue, so a queue that is still non-empty
+  // already has its wake byte pending (a full pipe guarantees one too).
+  if (was_empty && wake_pipe_[1] >= 0) {
     const char byte = 'r';
     [[maybe_unused]] ssize_t n = write(wake_pipe_[1], &byte, 1);
   }
@@ -250,16 +254,27 @@ void NdjsonServer::Run() {
 }
 
 void NdjsonServer::ApplyCompletions() {
-  std::vector<Completion> batch;
   {
+    // The cleared batch buffer goes back as the queue, capacity and all.
     std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
+    completion_batch_.swap(completions_);
   }
-  for (Completion& c : batch) {
+  // Queue the whole batch first, then flush each touched connection once:
+  // one send per connection per wake, however many replies it carries.
+  std::vector<Conn*> touched;
+  for (Completion& c : completion_batch_) {
     auto it = conns_.find(c.conn_id);
     if (it == conns_.end()) continue;  // Connection died; drop the reply.
-    QueueReply(it->second, c.seq, std::move(c.line), c.reply_ns);
+    Conn& conn = it->second;
+    QueueReply(conn, c.seq, std::move(c.line), c.reply_ns);
+    if (std::find(touched.begin(), touched.end(), &conn) == touched.end()) {
+      touched.push_back(&conn);
+    }
   }
+  completion_batch_.clear();
+  // A failed send leaves write_buf non-empty; the next poll reports the
+  // error and the loop closes the connection.
+  for (Conn* conn : touched) WriteConn(*conn);
 }
 
 void NdjsonServer::AcceptNew() {
@@ -309,9 +324,7 @@ bool NdjsonServer::ReadConn(uint64_t id, Conn& conn) {
     if (line.empty()) continue;  // Blank lines are keep-alives, not requests.
     const uint64_t seq = conn.next_seq++;
     if (line.size() > config_.max_line_bytes) {
-      oversize_.Increment();
-      conn.closing = true;
-      QueueReply(conn, seq, OversizeReply(config_.max_line_bytes), 0);
+      RejectOversize(conn, seq);
       break;
     }
     lines_.Increment();
@@ -328,13 +341,17 @@ bool NdjsonServer::ReadConn(uint64_t id, Conn& conn) {
   // A partial line larger than the cap can never complete legally; reject
   // it before it grows into a memory sink.
   if (!conn.closing && conn.read_buf.size() > config_.max_line_bytes) {
-    oversize_.Increment();
-    conn.closing = true;
     conn.read_buf.clear();
-    const uint64_t seq = conn.next_seq++;
-    QueueReply(conn, seq, OversizeReply(config_.max_line_bytes), 0);
+    RejectOversize(conn, conn.next_seq++);
   }
   return true;
+}
+
+void NdjsonServer::RejectOversize(Conn& conn, uint64_t seq) {
+  oversize_.Increment();
+  conn.closing = true;
+  QueueReply(conn, seq, OversizeReply(config_.max_line_bytes), 0);
+  WriteConn(conn);
 }
 
 bool NdjsonServer::WriteConn(Conn& conn) {
@@ -384,8 +401,6 @@ void NdjsonServer::QueueReply(Conn& conn, uint64_t seq, std::string line,
     ++conn.next_reply;
     it = conn.ready.find(conn.next_reply);
   }
-  // Opportunistic flush so a reply does not wait for the next poll tick.
-  WriteConn(conn);
 }
 
 void NdjsonServer::AbortTraces(Conn& conn) {

@@ -50,7 +50,9 @@ struct NdjsonServerConfig {
 /// line and must be cheap — parse and dispatch (e.g. into a ShardedEngine
 /// queue), never block. Completions flow back through `Reply`, which is
 /// safe to call from any thread: it appends to a mutex-guarded completion
-/// queue and wakes the loop through a self-pipe.
+/// queue and wakes the loop through a self-pipe — one byte when the queue
+/// goes from empty to non-empty, not one per reply. The loop takes the
+/// whole queue per wake and sends once per connection it touched.
 ///
 /// Responses are delivered **in request order per connection** whatever
 /// order `Reply` is called in: each line gets a per-connection sequence
@@ -155,10 +157,14 @@ class NdjsonServer {
   bool ReadConn(uint64_t id, Conn& conn);
   /// Flushes write_buf; returns false if the conn must die now.
   bool WriteConn(Conn& conn);
-  /// Queues `line` as the ordered response for (conn, seq) and flushes the
-  /// contiguous prefix into write_buf, ending each flushed request's trace.
+  /// Queues `line` as the ordered response for (conn, seq) and moves the
+  /// contiguous prefix into write_buf, ending each moved request's trace.
+  /// Sending is the caller's job (ApplyCompletions flushes once per batch).
   void QueueReply(Conn& conn, uint64_t seq, std::string line,
                   uint64_t reply_ns);
+  /// Answers an oversize line with a typed bad_request, flushed at once,
+  /// and marks the connection closing.
+  void RejectOversize(Conn& conn, uint64_t seq);
   /// Aborts every in-flight trace on the connection (it is dying before
   /// its responses flush).
   void AbortTraces(Conn& conn);
@@ -180,9 +186,11 @@ class NdjsonServer {
   uint64_t next_conn_id_ = 1;
   bool accepting_ = true;
 
-  // Cross-thread completion queue.
+  // Cross-thread completion queue. The poll thread swaps it with
+  // completion_batch_ (poll-thread-only) and works through the batch.
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
+  std::vector<Completion> completion_batch_;
 
   // Front-end instruments, registered as net.* for /metrics.
   obs::Counter accepted_;

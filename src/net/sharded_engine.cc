@@ -202,11 +202,12 @@ void ShardedEngine::WorkerLoop(Shard& shard) {
       case Task::Kind::kObserve: {
         const obs::TraceContextScope trace_scope(task.trace);
         RecordQueueWait(task.trace, task.enqueue, Clock::now());
+        serve::RequestStatus status;
         {
           const obs::TraceSpan compute("serve.compute");
-          shard.engine->Observe(task.checkin);
+          status = shard.engine->Observe(task.checkin);
         }
-        if (task.observe_done) task.observe_done(serve::RequestStatus::kOk);
+        if (task.observe_done) task.observe_done(status);
         break;
       }
       case Task::Kind::kSwap: {

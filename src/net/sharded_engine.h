@@ -104,8 +104,9 @@ class ShardedEngine {
   /// or inline with kOverloaded when the request is shed.
   void TopKAsync(const serve::TopKRequest& request, TopKCallback done);
 
-  /// Routes an observe; `done` (optional) fires with kOk once applied, or
-  /// inline with kOverloaded when shed by the bounded queue.
+  /// Routes an observe; `done` (optional) fires with the engine's status
+  /// once applied (kOk, or kInvalidArgument for a POI outside the model's
+  /// table), or inline with kOverloaded when shed by the bounded queue.
   void ObserveAsync(const poi::Checkin& checkin, ObserveCallback done = {});
 
   /// Blocking conveniences for tests and the stdin serve loop. Must not be

@@ -1,6 +1,9 @@
 #include "nn/layers.h"
 
+#include <algorithm>
+
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace pa::nn {
@@ -13,6 +16,12 @@ Linear::Linear(int in_dim, int out_dim, util::Rng& rng)
 
 tensor::Tensor Linear::Forward(const tensor::Tensor& x) const {
   return tensor::Add(tensor::MatMul(x, weight_), bias_);
+}
+
+void Linear::ForwardRow(const float* x, float* out) const {
+  std::fill(out, out + out_dim_, 0.0f);
+  tensor::detail::MatMulForward(x, weight_.data(), out, 1, in_dim_, out_dim_);
+  tensor::kernels::Active().add(out, bias_.data(), out, out_dim_);
 }
 
 std::vector<tensor::Tensor> Linear::Parameters() const {

@@ -17,6 +17,12 @@ class Linear : public Module {
   /// x is `[batch, in]`; returns `[batch, out]`.
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
+  /// Inference forward of one row into a caller buffer: `out[0, out)` =
+  /// `x[0, in)` W + b, with no tensor node or pool traffic. Same MatMul
+  /// kernel and tiling policy, then the active table's `add` for the bias,
+  /// so it is bitwise Forward on a `[1, in]` input.
+  void ForwardRow(const float* x, float* out) const;
+
   std::vector<tensor::Tensor> Parameters() const override;
 
   int in_dim() const { return in_dim_; }

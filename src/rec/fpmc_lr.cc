@@ -6,6 +6,7 @@
 
 #include "nn/serialize.h"
 #include "rec/model_io.h"
+#include "rec/ranking.h"
 #include "tensor/tensor.h"
 
 namespace pa::rec {
@@ -158,23 +159,26 @@ class FpmcLrSession : public RecSession {
       candidates.push_back(last_poi_);
     }
     // Fall back to (or pad with) globally popular POIs.
+    const int64_t wanted = std::max<int64_t>(4 * int64_t{k}, 50);
     for (int32_t p : rec_->popular_) {
-      if (static_cast<int>(candidates.size()) >= std::max(4 * k, 50)) break;
+      if (static_cast<int64_t>(candidates.size()) >= wanted) break;
       candidates.push_back(p);
     }
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
 
+    // Score each candidate once, then rank; candidates are sorted, so the
+    // helper's index tie-break is the POI-id tie-break.
     const int32_t prev = has_last_ ? last_poi_ : candidates.front();
-    const int kk = std::min<int>(k, static_cast<int>(candidates.size()));
-    std::partial_sort(candidates.begin(), candidates.begin() + kk,
-                      candidates.end(), [&](int32_t a, int32_t b) {
-                        return rec_->Score(user_, prev, a) >
-                               rec_->Score(user_, prev, b);
-                      });
-    candidates.resize(static_cast<size_t>(kk));
-    return candidates;
+    std::vector<float> scores(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      scores[i] = rec_->Score(user_, prev, candidates[i]);
+    }
+    std::vector<int32_t> top = SelectTopK(
+        scores.data(), static_cast<int>(scores.size()), k);
+    for (int32_t& idx : top) idx = candidates[static_cast<size_t>(idx)];
+    return top;
   }
 
  private:

@@ -1,10 +1,10 @@
 #include "rec/neural_recommender.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "nn/serialize.h"
 #include "rec/model_io.h"
+#include "rec/ranking.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 
@@ -15,19 +15,6 @@ namespace {
 constexpr uint32_t kNeuralPayloadVersion = 1;
 
 using tensor::Tensor;
-
-// Ranks over a raw logits row: the comparator runs O(n log k) times, so it
-// indexes the array directly rather than going through a Tensor accessor.
-std::vector<int32_t> TopKFromLogits(const float* logits, int n, int k) {
-  std::vector<int32_t> ids(static_cast<size_t>(n));
-  std::iota(ids.begin(), ids.end(), 0);
-  const int kk = std::min(k, n);
-  std::partial_sort(
-      ids.begin(), ids.begin() + kk, ids.end(),
-      [logits](int32_t a, int32_t b) { return logits[a] > logits[b]; });
-  ids.resize(static_cast<size_t>(kk));
-  return ids;
-}
 
 }  // namespace
 
@@ -237,17 +224,19 @@ class NeuralRecSession : public RecSession {
       nn::LstmState phantom = rec_->Step(state_, last_.poi, dt, 0.0f);
       hidden = phantom.h;
     }
+    // Score into one reused per-thread row — the int8 GEMV when publish
+    // built the tables, else the float projection (bitwise Linear::Forward)
+    // — with no tensor node or pool traffic, then rank it in one scan.
+    const nn::Linear& output = *rec_->output_;
+    static thread_local std::vector<float> logits_row;
+    logits_row.resize(static_cast<size_t>(output.out_dim()));
     if (rec_->quantized_.valid()) {
-      // Quantized serving: one fused int8 GEMV straight off the hidden
-      // state — no tensor nodes, no pool traffic — then rank the raw row.
-      static thread_local std::vector<float> logits_row;
-      logits_row.resize(static_cast<size_t>(rec_->quantized_.out_dim));
       tensor::kernels::QuantizedGemv(rec_->quantized_, hidden.data(),
                                      logits_row.data());
-      return TopKFromLogits(logits_row.data(), rec_->quantized_.out_dim, k);
+    } else {
+      output.ForwardRow(hidden.data(), logits_row.data());
     }
-    Tensor logits = rec_->output_->Forward(hidden);
-    return TopKFromLogits(logits.data(), logits.cols(), k);
+    return SelectTopK(logits_row.data(), output.out_dim(), k);
   }
 
  private:

@@ -1,11 +1,10 @@
 #include "rec/prme_g.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "nn/serialize.h"
 #include "rec/model_io.h"
+#include "rec/ranking.h"
 #include "tensor/tensor.h"
 
 namespace pa::rec {
@@ -165,16 +164,14 @@ class PrmeGSession : public RecSession {
             rec_->config_.tau_hours;
     const int32_t prev = has_last_ ? last_.poi : 0;
 
-    std::vector<int32_t> ids(static_cast<size_t>(rec_->num_pois_));
-    std::iota(ids.begin(), ids.end(), 0);
-    const int kk = std::min<int>(k, rec_->num_pois_);
-    std::partial_sort(ids.begin(), ids.begin() + kk, ids.end(),
-                      [&](int32_t a, int32_t b) {
-                        return rec_->Distance(user_, prev, a, sequential) <
-                               rec_->Distance(user_, prev, b, sequential);
-                      });
-    ids.resize(static_cast<size_t>(kk));
-    return ids;
+    // Score each POI once; negating the distance is exact, so nearest
+    // first is the helper's highest-score-first order.
+    std::vector<float> scores(static_cast<size_t>(rec_->num_pois_));
+    for (int32_t poi = 0; poi < rec_->num_pois_; ++poi) {
+      scores[static_cast<size_t>(poi)] =
+          -rec_->Distance(user_, prev, poi, sequential);
+    }
+    return SelectTopK(scores.data(), rec_->num_pois_, k);
   }
 
  private:

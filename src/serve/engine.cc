@@ -91,17 +91,25 @@ std::string Engine::model_name() const {
   return model_->name;
 }
 
-void Engine::Observe(const poi::Checkin& checkin) {
+RequestStatus Engine::Observe(const poi::Checkin& checkin) {
   PA_TRACE_SPAN("serve.observe");
   // Serving never backpropagates: model forwards under this request run on
   // the tensor engine's graph-free fast path.
   const tensor::InferenceModeScope inference;
+  std::shared_ptr<const LoadedModel> model;
   std::shared_ptr<SessionStore> sessions;
   {
     std::lock_guard<std::mutex> lock(swap_mu_);
+    model = model_;
     sessions = sessions_;
   }
+  // Every model indexes its tables by POI id; an id the table does not
+  // hold must never reach the history a session is rebuilt from.
+  if (checkin.poi < 0 || checkin.poi >= model->pois->size()) {
+    return RequestStatus::kInvalidArgument;
+  }
   sessions->Observe(checkin);
+  return RequestStatus::kOk;
 }
 
 TopKResponse Engine::Run(const TopKRequest& request,

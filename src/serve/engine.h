@@ -100,7 +100,9 @@ class Engine {
   std::string model_name() const;
 
   /// Feeds a check-in into the user's session (and serving history).
-  void Observe(const poi::Checkin& checkin);
+  /// A POI outside the model's table is kInvalidArgument, rejected before
+  /// anything is appended.
+  RequestStatus Observe(const poi::Checkin& checkin);
 
   /// Answers one request synchronously.
   TopKResponse TopK(const TopKRequest& request);

@@ -1,9 +1,12 @@
 #ifndef PA_SERVE_JSON_H_
 #define PA_SERVE_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 namespace pa::serve {
 
@@ -26,7 +29,22 @@ struct JsonValue {
 
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
-  int64_t AsInt() const { return static_cast<int64_t>(number); }
+  /// Checked integer read: true, with `*out` set, iff this is a number with
+  /// no fractional part inside Int's range. The range test runs on the
+  /// double before the cast, so no value (1e300, a NaN) ever reaches an
+  /// undefined double -> integer conversion.
+  template <typename Int>
+  bool ToInt(Int* out) const {
+    static_assert(std::is_integral_v<Int> && std::is_signed_v<Int>);
+    // -2^(bits-1) is exact as a double, and so is its negation.
+    const double limit = -static_cast<double>(std::numeric_limits<Int>::min());
+    if (type != Type::kNumber || number != std::trunc(number) ||
+        number < -limit || number >= limit) {
+      return false;
+    }
+    *out = static_cast<Int>(number);
+    return true;
+  }
 };
 
 /// Parses `{"key": scalar, ...}`. Returns false (with a reason in `error`)

@@ -1,8 +1,9 @@
 // The poll-driven NDJSON TCP front-end: framing across partial reads,
 // pipelined requests with in-order responses, oversize-line rejection,
-// idle-timeout closes, graceful drain — plus the socket_util regression
-// tests for the accept-loop bugs (FD_CLOEXEC on accepted sockets, EINTR
-// retry in poll) the exposition server used to have.
+// idle-timeout closes, no lost wakeups on the batched reply path, graceful
+// drain — plus the socket_util regression tests for the accept-loop bugs
+// (FD_CLOEXEC on accepted sockets, EINTR retry in poll) the exposition
+// server used to have.
 
 #include "net/ndjson_server.h"
 
@@ -15,8 +16,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,6 +283,101 @@ TEST(NdjsonServerTest, DrainTimeoutBoundsAStuckHandler) {
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - t0);
   EXPECT_LT(elapsed.count(), 5000);
+  server.Stop();
+}
+
+TEST(NdjsonServerTest, CrossThreadRepliesNeverLoseAWakeup) {
+  // A 60 s poll tick: only the self-pipe can wake the loop, so a reply
+  // whose wake byte went missing would sit in the completion queue far
+  // past the 2 s each reply is allowed.
+  NdjsonServerConfig config;
+  config.poll_interval_ms = 60'000;
+  config.idle_timeout_ms = 0;
+
+  struct Job {
+    uint64_t conn;
+    uint64_t seq;
+    std::string line;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Job> jobs;
+  bool done = false;
+
+  NdjsonServer server;
+  ASSERT_TRUE(server.Start(
+      config, [&](uint64_t conn, uint64_t seq, std::string line) {
+        if (seq % 4 == 0) {  // Some replies come from the poll thread itself.
+          server.Reply(conn, seq, "r:" + line);
+          return;
+        }
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          jobs.push_back({conn, seq, std::move(line)});
+        }
+        cv.notify_one();
+      }));
+
+  // Repliers take jittered bursts off one queue, so one connection's
+  // replies arrive from several threads, out of order and in clumps.
+  std::vector<std::thread> repliers;
+  for (int t = 0; t < 3; ++t) {
+    repliers.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t) + 1);
+      for (;;) {
+        std::vector<Job> burst;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return done || !jobs.empty(); });
+          if (jobs.empty()) return;
+          const size_t want = 1 + rng() % 8;
+          while (!jobs.empty() && burst.size() < want) {
+            burst.push_back(std::move(jobs.front()));
+            jobs.pop_front();
+          }
+        }
+        for (Job& job : burst) server.Reply(job.conn, job.seq, "r:" + job.line);
+        std::this_thread::sleep_for(std::chrono::microseconds(rng() % 300));
+      }
+    });
+  }
+
+  constexpr int kConns = 4;
+  constexpr int kRounds = 150;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.emplace_back([&, c] {
+      LineClient client(server.port());
+      std::mt19937 rng(static_cast<uint32_t>(c) + 100);
+      int next = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        const int burst = 1 + static_cast<int>(rng() % 6);
+        std::string lines;
+        for (int i = 0; i < burst; ++i) {
+          lines += "c" + std::to_string(c) + "-" + std::to_string(next + i) +
+                   "\n";
+        }
+        ASSERT_TRUE(client.Send(lines));
+        for (int i = 0; i < burst; ++i) {
+          const std::string expected =
+              "r:c" + std::to_string(c) + "-" + std::to_string(next + i);
+          ASSERT_EQ(client.ReadLine(2000), expected)
+              << "conn " << c << ", round " << round;
+        }
+        next += burst;
+        if (rng() % 3 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(rng() % 500));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : repliers) t.join();
   server.Stop();
 }
 

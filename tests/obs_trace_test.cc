@@ -287,13 +287,13 @@ TEST(TraceExport, ChromeTraceJsonEventsRoundTripThroughStrictParser) {
   // Timestamps are microseconds with nanosecond decimals: 1500ns -> 1.5us.
   EXPECT_DOUBLE_EQ(fields.at("ts").number, 1.5);
   EXPECT_DOUBLE_EQ(fields.at("dur").number, 2.75);
-  EXPECT_EQ(fields.at("pid").AsInt(), 1);
-  EXPECT_EQ(fields.at("tid").AsInt(), 0);
+  EXPECT_EQ(fields.at("pid").number, 1.0);
+  EXPECT_EQ(fields.at("tid").number, 0.0);
 
   ASSERT_TRUE(serve::ParseFlatObject(objects[1], &fields, &error)) << error;
   EXPECT_EQ(fields.at("name").string, "needs \"escaping\"\\here");
   EXPECT_DOUBLE_EQ(fields.at("ts").number, 4.25);
-  EXPECT_EQ(fields.at("tid").AsInt(), 3);
+  EXPECT_EQ(fields.at("tid").number, 3.0);
 }
 
 TEST(TraceExport, NdjsonLinesRoundTripThroughStrictParser) {
@@ -315,7 +315,7 @@ TEST(TraceExport, NdjsonLinesRoundTripThroughStrictParser) {
     ASSERT_TRUE(fields.at("tid").is_number());
     // Span id rides along so exemplars can be looked up in the dump.
     ASSERT_TRUE(fields.at("id").is_number());
-    EXPECT_GT(fields.at("id").AsInt(), 10);
+    EXPECT_GT(fields.at("id").number, 10.0);
     ++parsed;
   }
   EXPECT_EQ(parsed, 2);

@@ -16,8 +16,8 @@ TEST(JsonParseTest, ParsesFlatObject) {
       &obj, &error))
       << error;
   EXPECT_EQ(obj["op"].string, "topk");
-  EXPECT_EQ(obj["user"].AsInt(), 3);
-  EXPECT_EQ(obj["k"].AsInt(), 10);
+  EXPECT_EQ(obj["user"].number, 3.0);
+  EXPECT_EQ(obj["k"].number, 10.0);
   EXPECT_TRUE(obj["fast"].boolean);
   EXPECT_EQ(obj["note"].type, JsonValue::Type::kNull);
   EXPECT_DOUBLE_EQ(obj["q"].number, -1.5);
@@ -59,7 +59,7 @@ TEST(JsonParseTest, RejectsNestedContainers) {
 TEST(JsonParseTest, DuplicateKeysKeepLast) {
   std::map<std::string, JsonValue> obj;
   ASSERT_TRUE(ParseFlatObject(R"({"a":1,"a":2})", &obj));
-  EXPECT_EQ(obj["a"].AsInt(), 2);
+  EXPECT_EQ(obj["a"].number, 2.0);
 }
 
 TEST(JsonWriteTest, BuildsObjectsArraysAndEscapes) {
@@ -93,7 +93,7 @@ TEST(JsonWriteTest, OutputRoundTripsThroughParser) {
   std::string error;
   ASSERT_TRUE(ParseFlatObject(w.str(), &obj, &error)) << error;
   EXPECT_EQ(obj["op"].string, "topk");
-  EXPECT_EQ(obj["user"].AsInt(), 12);
+  EXPECT_EQ(obj["user"].number, 12.0);
   EXPECT_DOUBLE_EQ(obj["latency"].number, 93.5);
   EXPECT_TRUE(obj["ok"].boolean);
 }

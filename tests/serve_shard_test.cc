@@ -1,10 +1,14 @@
 // The in-process sharded serving layer: consistent-hash ring stability and
 // minimal K→K+1 redistribution, per-shard session isolation, typed shed
-// responses under overload, and zero-downtime cross-shard model flips.
+// responses under overload, zero-downtime cross-shard model flips, and the
+// wire boundary: out-of-range request fields and unknown POIs come back as
+// typed bad_request replies while the shards keep serving.
 
 #include "net/sharded_engine.h"
 
 #include <atomic>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -13,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "net/ndjson_protocol.h"
 #include "rec/registry.h"
+#include "serve/json.h"
 
 namespace pa::net {
 namespace {
@@ -295,6 +301,105 @@ TEST(ShardedEngineTest, SingleShardKeepsUnshardedMetricNames) {
   EXPECT_TRUE(snapshot.counters.count("serve.requests"));
   EXPECT_TRUE(snapshot.histograms.count("serve.latency_us"));
   EXPECT_FALSE(snapshot.counters.count("serve.shard0.requests"));
+}
+
+TEST(ShardedEngineTest, ObserveOfUnknownPoiIsRejectedBeforeTheHistory) {
+  for (const char* method : {"LSTM", "FPMC-LR", "PRME-G"}) {
+    auto model = FittedModel(method);  // An 8-POI table.
+    ShardedEngineConfig config;
+    config.num_shards = 2;
+    ShardedEngine engine(model, config);
+    for (const int32_t poi :
+         {8, 999999, -1, std::numeric_limits<int32_t>::min()}) {
+      EXPECT_EQ(engine.Observe({5, poi, kHour, false}),
+                serve::RequestStatus::kInvalidArgument)
+          << method << " poi " << poi;
+    }
+    // Nothing reached the history: the user is still cold.
+    const serve::TopKRequest strict{5, 5, 2 * kHour, true};
+    EXPECT_EQ(engine.TopK(strict).status, serve::RequestStatus::kUnknownUser)
+        << method;
+    // And the owning shard keeps serving that user.
+    EXPECT_EQ(engine.Observe({5, 7, kHour, false}), serve::RequestStatus::kOk);
+    const serve::TopKResponse response = engine.TopK(strict);
+    EXPECT_EQ(response.status, serve::RequestStatus::kOk) << method;
+    EXPECT_EQ(response.pois.size(), 5u) << method;
+  }
+}
+
+std::map<std::string, serve::JsonValue> ParseReply(const std::string& line) {
+  std::map<std::string, serve::JsonValue> reply;
+  std::string error;
+  EXPECT_TRUE(serve::ParseFlatObject(line, &reply, &error))
+      << error << ": " << line;
+  return reply;
+}
+
+TEST(NdjsonDispatcherTest, OutOfRangeFieldsAreTypedBadRequests) {
+  auto model = FittedModel("LSTM");
+  ShardedEngineConfig config;
+  config.num_shards = 2;
+  ShardedEngine engine(model, config);
+  NdjsonDispatcher dispatcher(&engine);
+
+  const char* const bad_lines[] = {
+      // A POI the model's table does not hold (this used to abort).
+      R"({"op":"observe","user":1,"poi":999999,"timestamp":5})",
+      R"({"op":"observe","user":1,"poi":-1,"timestamp":5})",
+      // Non-integral, out-of-range or mistyped integer fields.
+      R"({"op":"observe","user":1,"poi":1.5,"timestamp":5})",
+      R"({"op":"observe","user":2147483648,"poi":1,"timestamp":5})",
+      R"({"op":"observe","user":1,"poi":"3","timestamp":5})",
+      R"({"op":"observe","user":1,"poi":1,"timestamp":1e300})",
+      R"({"op":"observe","user":1,"poi":1,"timestamp":"5"})",
+      R"({"op":"observe","poi":1})",
+      R"({"op":"topk","user":1e300,"k":5,"timestamp":5,"id":1e300})",
+      R"({"op":"topk","user":-2147483649,"k":5})",
+      R"({"op":"topk","user":1,"k":1e10})",
+      R"({"op":"topk","user":1,"k":0.5})",
+      R"({"op":"topk","user":1,"k":0})",
+      R"({"op":"topk","user":1,"timestamp":1e17})",
+      R"({"op":"topk","user":true})",
+      R"({"op":"topk"})",
+  };
+  for (const char* line : bad_lines) {
+    bool quit = true;
+    auto reply = ParseReply(dispatcher.HandleLine(line, &quit));
+    EXPECT_FALSE(quit);
+    EXPECT_FALSE(reply["ok"].boolean) << line;
+    EXPECT_EQ(reply["code"].string, "bad_request") << line;
+  }
+
+  // The shards are still up and answer the same user.
+  bool quit = false;
+  auto observed = ParseReply(dispatcher.HandleLine(
+      R"({"op":"observe","user":1,"poi":3,"timestamp":5})", &quit));
+  EXPECT_TRUE(observed["ok"].boolean);
+  const std::string topk = dispatcher.HandleLine(
+      R"({"op":"topk","user":1,"k":5,"timestamp":3605,"strict":true})", &quit);
+  EXPECT_NE(topk.find("\"ok\":true"), std::string::npos) << topk;
+  EXPECT_NE(topk.find("\"pois\":["), std::string::npos) << topk;
+}
+
+TEST(NdjsonDispatcherTest, IdsBeyondInt64EchoAsDoubles) {
+  auto model = FittedModel("FPMC-LR");
+  ShardedEngine engine(model);
+  NdjsonDispatcher dispatcher(&engine);
+  auto echo = [&dispatcher](const std::string& id) {
+    const std::string line =
+        dispatcher.HandleLine(R"({"op":"nope","id":)" + id + "}", nullptr);
+    EXPECT_EQ(ParseReply(line)["code"].string, "bad_request") << line;
+    const size_t at = line.find("\"id\":");
+    EXPECT_NE(at, std::string::npos) << line;
+    return line.substr(at + 5, line.find_first_of(",}", at) - at - 5);
+  };
+  EXPECT_EQ(echo("42"), "42");
+  EXPECT_EQ(echo("-9223372036854775808"), "-9223372036854775808");
+  EXPECT_EQ(echo("2.5"), "2.5");
+  // 2^63 and beyond do not fit int64: they come back as the double they
+  // parsed to, never as a wrapped integer.
+  EXPECT_EQ(echo("9223372036854775808"), "9.2233720368547758e+18");
+  EXPECT_EQ(echo("1e300"), "1.0000000000000001e+300");
 }
 
 }  // namespace
