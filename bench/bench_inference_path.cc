@@ -5,8 +5,8 @@
 //                         (embedding -> LstmCell -> detach) at the production
 //                         NeuralRecConfig shape (embedding 16, hidden 24).
 //                         The gated workload: graph-free must be >= 2x, and
-//                         the fused compiled-step replay >= 1.3x over the
-//                         unfused graph-free path.
+//                         the fused path (the LSTM's explicit forward)
+//                         >= 1.3x over the unfused graph-free path.
 //   * st_clstm_forward  — the same rollout through the ST-CLSTM cell.
 //   * lstm_forward_h128 — informational larger-hidden variant, where raw
 //                         MatMul flops start to amortise the graph overhead.
@@ -29,7 +29,8 @@
 // Schema v3 adds the operator-fusion arm: `nograph` runs under
 // ScopedFusionDisable (the exact pre-fusion fast path, so its history stays
 // comparable across PRs), and a fourth interleaved `fused` arm runs the
-// default path, where RunStep replays the compiled per-cell program.
+// default path: the LSTM's explicit fused forward, or for ST-CLSTM the
+// compiled per-cell program RunStep replays.
 // *_fused_speedup is nograph-ns / fused-ns, gated >= 1.3x on lstm and
 // st_clstm in full mode; the fused rollout must stay bit-identical to the
 // unfused one (same dispatch table — the fused kernels reuse each table's
@@ -113,7 +114,7 @@ struct ModePair {
   RolloutResult graph;
   RolloutResult nograph;         // Fast path, fusion disabled (PR 3/6 arm).
   RolloutResult nograph_scalar;  // Fast path, scalar reference kernels.
-  RolloutResult fused;           // Default path: compiled-step replay.
+  RolloutResult fused;           // Default path: explicit forward/replay.
   double speedup() const {
     return nograph.ns_per_step > 0.0 ? graph.ns_per_step / nograph.ns_per_step
                                      : 0.0;
@@ -178,8 +179,8 @@ ModePair TimeModePair(InitFn init, GraphFn step_graph, FastFn step_fast,
       tensor::kernels::SetDispatchOverride(&simd);
     }
     {
-      // Default path: the warmup rep records and compiles the step, so the
-      // timed reps measure pure replay.
+      // Default path. For a cell on RunStep the warmup rep records and
+      // compiles the step, so the timed reps measure pure replay.
       tensor::InferenceModeScope scope;
       OneArmPass(init, step_fast, steps, rollouts,
                  r < 0 ? &warmup_sink : &pair.fused);
@@ -552,11 +553,11 @@ int Run(bool smoke) {
         st_clstm.simd_speedup());
     return 1;
   }
-  // Fused-replay gates only apply when fusion is actually on (the PA_FUSION
+  // Fused-path gates only apply when fusion is actually on (the PA_FUSION
   // escape hatch turns the fused arm into a second unfused pass).
   if (!smoke && tensor::fusion::Enabled() && lstm.fused_speedup() < 1.3) {
     std::fprintf(stderr,
-                 "FAIL: lstm_forward fused replay %.2fx < 1.3x over the "
+                 "FAIL: lstm_forward fused forward %.2fx < 1.3x over the "
                  "unfused fast path\n",
                  lstm.fused_speedup());
     return 1;

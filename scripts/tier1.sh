@@ -30,9 +30,11 @@ done
 # Fusion escape-hatch cross-check: the compiled-step suites rerun with
 # PA_FUSION=off, proving the unfused fast path still stands on its own (and
 # that the fusion tests' assertions degrade gracefully when the recorder
-# never engages).
+# never engages), and the serving suites prove that LSTM sessions, which
+# step their state in place only while fusion is on, fall back to the
+# tensor-op step path intact.
 PA_FUSION=off ctest --test-dir build --output-on-failure \
-  -R 'tensor_fusion_test|inference_equivalence_test'
+  -R 'tensor_fusion_test|inference_equivalence_test|rec_neural_test|serve_session_store_test'
 
 # Inference fast-path smoke: the bench binary in --smoke mode checks
 # bit-identity between the graph and graph-free forward paths (skipping the
@@ -294,23 +296,26 @@ finally:
 EOF
 
 # Repository benchmark smoke: configure perfbench/ under build/, build and
-# run its self-tests, then a short serve_warm run (the real `pa_serve
-# listen` child under closed-loop load), which must report its top-10
-# reference check and guards as passed.
+# run its self-tests, then short serve_warm and serve_churn runs (the real
+# `pa_serve listen` child under closed-loop load; churn rebuilds sessions
+# under eviction pressure), each of which must report its reference check
+# and guards as passed.
 bench_target=build/perfbench_target
 cmake -S perfbench -B "$bench_target/perfbench" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$bench_target/perfbench" -j"$(nproc)" --target perfbench_test
 "$bench_target/perfbench/perfbench_test"
-CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
-  --workload serve_warm --seed 1 --seconds 2 --trace 0 \
-  | tee build/tier1_perfbench.txt
-tail -n 1 build/tier1_perfbench.txt | python3 -c '
+for workload in serve_warm serve_churn; do
+  CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+    | tee "build/tier1_perfbench_$workload.txt"
+  tail -n 1 "build/tier1_perfbench_$workload.txt" | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read())
 assert result["correct"] is True, result
-print("perfbench serve_warm smoke: OK")
-'
+print("perfbench " + sys.argv[1] + " smoke: OK")
+' "$workload"
+done
 
 if [[ "${1:-}" == "--no-tsan" ]]; then
   exit 0

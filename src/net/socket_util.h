@@ -24,9 +24,10 @@ namespace pa::net {
 int ListenTcp(uint16_t port, bool loopback_only, uint16_t* bound_port,
               std::string* error);
 
-/// accept() with EINTR retry; the accepted socket gets FD_CLOEXEC before it
-/// is returned. Returns -1 when no connection is ready (EAGAIN/EWOULDBLOCK
-/// on a non-blocking listener) or on a fatal error; errno is preserved.
+/// accept() with EINTR retry; the accepted socket gets FD_CLOEXEC and
+/// TCP_NODELAY before it is returned. Returns -1 when no connection is
+/// ready (EAGAIN/EWOULDBLOCK on a non-blocking listener) or on a fatal
+/// error; errno is preserved.
 int AcceptConnection(int listen_fd);
 
 /// poll() retrying on EINTR with the remaining timeout recomputed, so a

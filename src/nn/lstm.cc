@@ -3,7 +3,10 @@
 #include <algorithm>
 
 #include "nn/layers.h"
+#include "tensor/buffer_pool.h"
+#include "tensor/compiled_step.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace pa::nn {
@@ -44,23 +47,62 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, util::Rng& rng)
 LstmState LstmCell::Forward(const tensor::Tensor& x,
                             const LstmState& prev) const {
   const int h = hidden_dim_;
-  std::vector<Tensor> out = tensor::fusion::RunStep(
-      site_, /*variant=*/0, {x, prev.h, prev.c}, {},
-      [&]() -> std::vector<Tensor> {
-        Tensor gates = tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)),
-            b_);
-        Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
-        Tensor f = tensor::Sigmoid(tensor::SliceCols(gates, h, h));
-        Tensor g = tensor::Tanh(tensor::SliceCols(gates, 2 * h, h));
-        Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 3 * h, h));
-        Tensor c = tensor::Add(tensor::Mul(f, prev.c), tensor::Mul(i, g));
-        Tensor hh = tensor::Mul(o, tensor::Tanh(c));
-        // Move: h and c are dead locals, and shared_ptr copies cost a locked
-        // refcount pair each — measurable next to a 24-wide cell step.
-        return {std::move(hh), std::move(c)};
-      });
-  return {std::move(out[0]), std::move(out[1])};
+  const int batch = x.rows();
+  const tensor::Shape state_shape{batch, h};
+  // Shape mismatches take the tensor-op body, whose ops report them.
+  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
+      x.cols() == input_dim_ && prev.h.shape() == state_shape &&
+      prev.c.shape() == state_shape) {
+    tensor::internal::BufferPool& pool = tensor::internal::ThisThreadPool();
+    std::vector<float> hh = pool.Acquire(static_cast<size_t>(batch) * h);
+    std::vector<float> c = pool.Acquire(static_cast<size_t>(batch) * h);
+    ForwardRows(x.data(), prev.h.data(), prev.c.data(), hh.data(), c.data(),
+                batch);
+    return {tensor::detail::MakeInferencePooled(state_shape, std::move(hh)),
+            tensor::detail::MakeInferencePooled(state_shape, std::move(c))};
+  }
+  Tensor gates = tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);
+  Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
+  Tensor f = tensor::Sigmoid(tensor::SliceCols(gates, h, h));
+  Tensor g = tensor::Tanh(tensor::SliceCols(gates, 2 * h, h));
+  Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 3 * h, h));
+  Tensor c = tensor::Add(tensor::Mul(f, prev.c), tensor::Mul(i, g));
+  Tensor hh = tensor::Mul(o, tensor::Tanh(c));
+  // Move: h and c are dead locals, and shared_ptr copies cost a locked
+  // refcount pair each — measurable next to a 24-wide cell step.
+  return {std::move(hh), std::move(c)};
+}
+
+void LstmCell::ForwardRows(const float* x, const float* h_prev,
+                           const float* c_prev, float* h_out, float* c_out,
+                           int batch) const {
+  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
+  const int h = hidden_dim_;
+  const int width = 4 * h;
+  const int64_t n = static_cast<int64_t>(batch) * width;
+  // Two zeroed [batch, 4h] products, x*W_x then h*W_h: each starts from
+  // zero like the tensor path's MatMul, so their sum is the same FP value.
+  static thread_local std::vector<float> scratch;
+  scratch.assign(static_cast<size_t>(2 * n), 0.0f);
+  float* gates = scratch.data();
+  float* hw = gates + n;
+  kt.matmul_block(x, w_x_.data(), gates, input_dim_, width, 0, batch, 0,
+                  width);
+  kt.matmul_block(h_prev, w_h_.data(), hw, h, width, 0, batch, 0, width);
+  for (int r = 0; r < batch; ++r) {
+    float* row = gates + static_cast<int64_t>(r) * width;
+    kt.add3(row, hw + static_cast<int64_t>(r) * width, b_.data(), row, width);
+  }
+  // Sigmoid on the input, forget and output gates, tanh on the candidate.
+  static constexpr uint8_t kActs[4] = {0, 0, 1, 0};
+  kt.gate_act(gates, gates, batch, h, kActs, 4);
+  for (int r = 0; r < batch; ++r) {
+    const float* in = gates + static_cast<int64_t>(r) * width;
+    const int64_t s = static_cast<int64_t>(r) * h;
+    kt.cell_update(in + h, c_prev + s, in, in + 2 * h, c_out + s, h);
+    kt.tanh_mul(in + 3 * h, c_out + s, h_out + s, h);
+  }
 }
 
 LstmState LstmCell::ForwardZoneout(const tensor::Tensor& x,

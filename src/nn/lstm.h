@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -37,8 +36,24 @@ class LstmCell : public Module {
  public:
   LstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// Plain step: x is `[batch, input_dim]`, returns the next state.
+  /// Plain step: x is `[batch, input_dim]`, returns the next state. Under
+  /// inference mode with fusion enabled (`fusion::Enabled()`) this runs
+  /// `ForwardRows` into pooled outputs; otherwise (graph mode, PA_FUSION=off,
+  /// `ScopedFusionDisable`) it runs the tensor-op body, the reference both
+  /// paths are bit-identical to within one kernel table.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev) const;
+
+  /// The explicit inference step over raw rows: x `[batch, input_dim]`,
+  /// h_prev / c_prev in and h_out / c_out out, each `[batch, hidden_dim]`.
+  /// x*W_x and h*W_h run through the active table's matmul_block on the
+  /// calling thread (no pool fan-out), then add3 with the bias, gate_act in
+  /// place over [i, f, g, o], cell_update and tanh_mul. Per element that is
+  /// the tensor-op body's exact FP sequence, so the two agree bit for bit.
+  /// Allocates nothing once the thread's scratch buffer has grown; h_out and
+  /// c_out may alias h_prev and c_prev exactly (a session steps its own
+  /// state in place), but no output may alias x. No autograd.
+  void ForwardRows(const float* x, const float* h_prev, const float* c_prev,
+                   float* h_out, float* c_out, int batch) const;
 
   /// Step with zoneout. When `training` is true, units are preserved by
   /// Bernoulli masks drawn from `rng`; at evaluation time the expectation
@@ -62,9 +77,6 @@ class LstmCell : public Module {
   tensor::Tensor w_x_;  // [input_dim, 4 * hidden_dim]
   tensor::Tensor w_h_;  // [hidden_dim, 4 * hidden_dim]
   tensor::Tensor b_;    // [1, 4 * hidden_dim]
-  // Compiled-step identity of this cell's Forward body; a fresh cell (or a
-  // copy) gets a fresh id, so rebuilt models never replay stale programs.
-  tensor::fusion::StepSite site_;
 };
 
 /// Bi-directional LSTM layer: a forward cell reading c_1..c_n and a backward

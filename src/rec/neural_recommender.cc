@@ -5,6 +5,7 @@
 #include "nn/serialize.h"
 #include "rec/model_io.h"
 #include "rec/ranking.h"
+#include "tensor/compiled_step.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 
@@ -188,23 +189,40 @@ class NeuralRecSession : public RecSession {
   void Observe(const poi::Checkin& c) override {
     // Session forwards never backpropagate; skip graph construction.
     const tensor::InferenceModeScope inference;
-    float dt = 0.0f, dd = 0.0f;
-    if (has_last_) {
-      const double hours =
-          static_cast<double>(c.timestamp - last_.timestamp) / 3600.0;
-      dt = static_cast<float>(std::min(
-          hours / rec_->config_.feature_scale.hours_scale, 10.0));
-      const double km = rec_->pois_->DistanceKm(last_.poi, c.poi);
-      dd = static_cast<float>(
-          std::min(km / rec_->config_.feature_scale.km_scale, 10.0));
-    }
-    state_ = rec_->Step(state_, c.poi, dt, dd);
-    if (!tensor::InferenceModeScope::Active()) {
-      // Graph-building forward (the test override disables inference mode):
-      // detach so the graph does not grow across the user's timeline. The
-      // fast path has no graph to sever, so the copies would be pure waste.
-      state_.h = state_.h.Detach();
-      if (state_.c.defined()) state_.c = state_.c.Detach();
+    const NeuralRecConfig::Cell cell = rec_->config_.cell;
+    const nn::Embedding& embedding = *rec_->embedding_;
+    if (cell == NeuralRecConfig::Cell::kLstm &&
+        tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
+        c.poi >= 0 && c.poi < embedding.vocab_size()) {
+      // Step the session's own h/c in place, reading the embedding row by
+      // pointer: no gather, no tensor, nothing allocated per check-in. The
+      // session is the sole owner of its state tensors.
+      const float* x = embedding.table().data() +
+                       static_cast<int64_t>(c.poi) * embedding.dim();
+      rec_->lstm_->ForwardRows(x, state_.h.data(), state_.c.data(),
+                               state_.h.data(), state_.c.data(), 1);
+    } else {
+      // Only the spatio-temporal cells read the intervals.
+      float dt = 0.0f, dd = 0.0f;
+      if (has_last_ && (cell == NeuralRecConfig::Cell::kStRnn ||
+                        cell == NeuralRecConfig::Cell::kStClstm)) {
+        const double hours =
+            static_cast<double>(c.timestamp - last_.timestamp) / 3600.0;
+        dt = static_cast<float>(std::min(
+            hours / rec_->config_.feature_scale.hours_scale, 10.0));
+        const double km = rec_->pois_->DistanceKm(last_.poi, c.poi);
+        dd = static_cast<float>(
+            std::min(km / rec_->config_.feature_scale.km_scale, 10.0));
+      }
+      state_ = rec_->Step(state_, c.poi, dt, dd);
+      if (!tensor::InferenceModeScope::Active()) {
+        // Graph-building forward (the test override disables inference
+        // mode): detach so the graph does not grow across the user's
+        // timeline. The fast path has no graph to sever, so the copies
+        // would be pure waste.
+        state_.h = state_.h.Detach();
+        if (state_.c.defined()) state_.c = state_.c.Detach();
+      }
     }
     last_ = c;
     has_last_ = true;

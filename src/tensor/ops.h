@@ -145,8 +145,9 @@ StridedView SliceRowsView(const Tensor& a, int start, int len);
 
 namespace detail {
 
-/// Internal hooks for the compiled-step replayer (compiled_step.cc). Not
-/// for general use: these bypass the autograd layer entirely.
+/// Internal hooks for the compiled-step replayer (compiled_step.cc) and
+/// the LSTM's explicit forward (nn/lstm.cc). Not for general use: these
+/// bypass the autograd layer entirely.
 
 /// The exact inference-mode MatMul forward (same zero-skip inner kernel,
 /// same parallel tiling decision), writing into a caller-provided

@@ -1,9 +1,9 @@
 // The poll-driven NDJSON TCP front-end: framing across partial reads,
 // pipelined requests with in-order responses, oversize-line rejection,
-// idle-timeout closes, no lost wakeups on the batched reply path, graceful
-// drain — plus the socket_util regression tests for the accept-loop bugs
-// (FD_CLOEXEC on accepted sockets, EINTR retry in poll) the exposition
-// server used to have.
+// idle-timeout closes, no lost wakeups on the batched reply path, no Nagle
+// stall between reply batches, graceful drain — plus the socket_util
+// regression tests for the accept-loop bugs (FD_CLOEXEC on accepted
+// sockets, EINTR retry in poll) the exposition server used to have.
 
 #include "net/ndjson_server.h"
 
@@ -378,6 +378,82 @@ TEST(NdjsonServerTest, CrossThreadRepliesNeverLoseAWakeup) {
   }
   cv.notify_all();
   for (std::thread& t : repliers) t.join();
+  server.Stop();
+}
+
+TEST(NdjsonServerTest, RepliesInSeparateBatchesAreNotHeldByNagle) {
+  // Each round pipelines kInFlight requests and waits for every reply. A
+  // worker thread answers them one at a time with a gap, so each reply
+  // leaves the poll thread in its own completion batch while the previous
+  // one is still unacknowledged. With Nagle on, every such reply waits for
+  // the client's delayed ACK (~40 ms on Linux); with TCP_NODELAY a round
+  // costs about the gaps.
+  struct Job {
+    uint64_t conn;
+    uint64_t seq;
+    std::string line;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Job> jobs;
+  bool done = false;
+
+  NdjsonServer server;
+  ASSERT_TRUE(server.Start(FastConfig(), [&](uint64_t conn, uint64_t seq,
+                                             std::string line) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      jobs.push_back({conn, seq, std::move(line)});
+    }
+    cv.notify_one();
+  }));
+  std::thread worker([&] {
+    for (;;) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return done || !jobs.empty(); });
+        if (jobs.empty()) return;
+        job = std::move(jobs.front());
+        jobs.pop_front();
+      }
+      server.Reply(job.conn, job.seq, "r:" + job.line);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+
+  constexpr int kRounds = 30;
+  constexpr int kInFlight = 4;
+  auto run_rounds = [&] {
+    LineClient client(server.port());
+    const Clock::time_point t0 = Clock::now();
+    for (int round = 0; round < kRounds; ++round) {
+      std::string lines;
+      for (int i = 0; i < kInFlight; ++i) {
+        lines += std::to_string(round) + "-" + std::to_string(i) + "\n";
+      }
+      ASSERT_TRUE(client.Send(lines));
+      for (int i = 0; i < kInFlight; ++i) {
+        ASSERT_EQ(client.ReadLine(2000),
+                  "r:" + std::to_string(round) + "-" + std::to_string(i));
+      }
+    }
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                              t0);
+    // A quarter of one delayed-ACK stall per round; each round's own gaps
+    // add up to ~2 ms.
+    EXPECT_LT(elapsed.count(), kRounds * 10)
+        << "replies held back between completion batches";
+  };
+  run_rounds();
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  worker.join();
   server.Stop();
 }
 

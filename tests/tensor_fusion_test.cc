@@ -1,16 +1,19 @@
 // Fusion-layer suite: the fused kernels (add3/lerp/axpby/cell_update/
-// tanh_mul/gate_act), the Lerp/Axpby ops, the strided slice views, and the
-// CompiledStep record-and-replay path added for the recurrent cells.
+// tanh_mul/gate_act), the Lerp/Axpby ops, the strided slice views, the
+// CompiledStep record-and-replay path the RNN, GRU, ST-RNN and ST-CLSTM
+// cells run through, and the LSTM's explicit fused forward.
 //
-// The contracts under test, from kernels.h and compiled_step.h:
+// The contracts under test, from kernels.h, compiled_step.h and lstm.h:
 //
 //   * Every fused kernel is bit-identical, per table, to the composition of
 //     that same table's primitive kernels it replaces (gate_act/tanh_mul
 //     call the table's own SigmoidK/TanhK, so this holds even for the
 //     expf-based entries).
-//   * A compiled-step replay is bit-identical to running the same cell body
-//     unfused (ScopedFusionDisable) and to the graph-building path
-//     (ScopedInferenceDisable), serial and with PA_THREADS > 1.
+//   * A compiled-step replay, and the LSTM's explicit forward at any batch
+//     size, are bit-identical to running the same cell body unfused
+//     (ScopedFusionDisable) and to the graph-building path
+//     (ScopedInferenceDisable), serial and with PA_THREADS > 1; so is a
+//     served LSTM session stepping its own state in place.
 //   * The per-thread program cache discriminates on input shape and on
 //     StepSite identity, and falls back (never miscompiles) on batch > 1.
 //
@@ -20,6 +23,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +35,7 @@
 #include "nn/rnn_cell.h"
 #include "nn/st_clstm.h"
 #include "nn/st_rnn_cell.h"
+#include "rec/neural_recommender.h"
 #include "tensor/compiled_step.h"
 #include "tensor/gradcheck.h"
 #include "tensor/init.h"
@@ -269,12 +275,19 @@ Tensor StepInput(int d, int t, uint32_t salt) {
                           TestInput(d, salt * 131u + static_cast<uint32_t>(t)));
 }
 
+// How a cell's fused run executes: compiled replay through RunStep (RNN,
+// GRU, ST-RNN, ST-CLSTM), or the LSTM's explicit forward, which never
+// enters RunStep and so records, replays and falls back on nothing.
+enum class FusedPath { kReplay, kExplicit };
+
 // Three-way parity harness: fused (default inference), unfused
 // (ScopedFusionDisable), and graph (ScopedInferenceDisable) rollouts of the
-// same step function must be bitwise identical, and when fusion is enabled
-// the fused run must have gone through compiled replay.
+// same step function must be bitwise identical. When fusion is enabled a
+// kReplay cell's fused run must have gone through compiled replay; a
+// kExplicit cell must leave the RunStep counters untouched either way.
 template <typename RolloutFn>
-void ExpectThreeWayParity(const RolloutFn& run, const char* what) {
+void ExpectThreeWayParity(const RolloutFn& run, const char* what,
+                          FusedPath path = FusedPath::kReplay) {
   const fusion::FusionStats before = fusion::ThisThreadStats();
   std::vector<float> fused;
   {
@@ -295,7 +308,11 @@ void ExpectThreeWayParity(const RolloutFn& run, const char* what) {
   }
   EXPECT_TRUE(BitEqual(fused, unfused)) << what << ": fused vs unfused";
   EXPECT_TRUE(BitEqual(fused, graph)) << what << ": fused vs graph";
-  if (fusion::Enabled()) {
+  if (path == FusedPath::kExplicit) {
+    EXPECT_EQ(after.recorded, before.recorded) << what;
+    EXPECT_EQ(after.replayed, before.replayed) << what;
+    EXPECT_EQ(after.fallback, before.fallback) << what;
+  } else if (fusion::Enabled()) {
     EXPECT_GT(after.recorded, before.recorded) << what;
     EXPECT_GT(after.replayed, before.replayed) << what;
   }
@@ -317,7 +334,7 @@ TEST(CompiledStepTest, LstmThreeWayParity) {
           return out;
         });
       },
-      "lstm");
+      "lstm", FusedPath::kExplicit);
 }
 
 TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
@@ -339,7 +356,7 @@ TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
           return out;
         });
       },
-      "lstm_zoneout_eval");
+      "lstm_zoneout_eval", FusedPath::kExplicit);
 }
 
 TEST(CompiledStepTest, StClstmThreeWayParity) {
@@ -407,8 +424,9 @@ TEST(CompiledStepTest, StRnnThreeWayParityAcrossBucketVariants) {
       "st_rnn");
 }
 
-// PA_THREADS > 1 with a hidden size big enough that the replayed matmuls
-// cross kMatMulParallelFlops and actually run tiled on the pool.
+// PA_THREADS > 1 with a hidden size big enough that the unfused and graph
+// matmuls cross kMatMulParallelFlops and actually run tiled on the pool,
+// while the explicit forward runs each product whole on the calling thread.
 TEST(CompiledStepTest, LstmThreadedParityAtLargeHidden) {
   util::Rng rng(37);
   nn::LstmCell cell(64, 160, rng);
@@ -424,7 +442,7 @@ TEST(CompiledStepTest, LstmThreadedParityAtLargeHidden) {
           return out;
         });
       },
-      "lstm_threaded");
+      "lstm_threaded", FusedPath::kExplicit);
   util::SetThreadCount(0);
 }
 
@@ -589,9 +607,110 @@ TEST(CompiledStepTest, PaSeq2SeqDecodeParity) {
   }
   EXPECT_EQ(rank_fused, rank_unfused);
   EXPECT_FALSE(rank_fused.empty());
-  if (fusion::Enabled()) {
-    EXPECT_GT(after.replayed, before.replayed);
+  // The encoder and decoder are LstmCells: their explicit forward records
+  // nothing and never enters RunStep.
+  EXPECT_EQ(after.recorded, before.recorded);
+  EXPECT_EQ(after.replayed, before.replayed);
+  EXPECT_EQ(after.fallback, before.fallback);
+}
+
+// ---------------------------------------------------------------------------
+// The LSTM's explicit forward beyond one row, and a served LSTM session
+// stepping its own state in place.
+
+TEST(ExplicitLstmTest, BatchThreeMatchesGraphPath) {
+  constexpr int kBatch = 3, kIn = 12, kHidden = 16;
+  util::Rng rng(38);
+  nn::LstmCell cell(kIn, kHidden, rng);
+  auto input = [](int t) {
+    return Tensor::FromData(
+        {kBatch, kIn}, TestInput(kBatch * kIn, 900u + static_cast<uint32_t>(t)));
+  };
+  ExpectThreeWayParity(
+      [&] {
+        nn::LstmState state = cell.InitialState(kBatch);
+        return Rollout(kSteps, [&](int t) {
+          state = cell.Forward(input(t), state);
+          std::vector<float> out = Flat(state.h);
+          const std::vector<float> c = Flat(state.c);
+          out.insert(out.end(), c.begin(), c.end());
+          return out;
+        });
+      },
+      "lstm_batch3", FusedPath::kExplicit);
+
+  // ForwardRows stepping one h/c pair in place equals the graph rollout.
+  std::vector<float> h(kBatch * kHidden, 0.0f), c(kBatch * kHidden, 0.0f);
+  for (int t = 0; t < kSteps; ++t) {
+    const Tensor x = input(t);
+    cell.ForwardRows(x.data(), h.data(), c.data(), h.data(), c.data(), kBatch);
   }
+  tensor::internal::ScopedInferenceDisable graph_mode;
+  nn::LstmState state = cell.InitialState(kBatch);
+  for (int t = 0; t < kSteps; ++t) state = cell.Forward(input(t), state);
+  EXPECT_TRUE(BitEqual(h, Flat(state.h)));
+  EXPECT_TRUE(BitEqual(c, Flat(state.c)));
+}
+
+TEST(ExplicitLstmTest, ServedSessionRebuildMatchesStepPath) {
+  // A catalogue wide enough that the [1, 24] x [24, 3000] projection tiles
+  // across the pool at four threads.
+  constexpr int kPois = 3000;
+  std::vector<geo::LatLng> coords;
+  for (int i = 0; i < kPois; ++i) {
+    coords.push_back({40.0 + 0.001 * (i % 60), -100.0 + 0.001 * (i / 60)});
+  }
+  const poi::PoiTable pois(std::move(coords));
+  rec::NeuralRecConfig config;
+  config.cell = rec::NeuralRecConfig::Cell::kLstm;
+  config.epochs = 1;
+  rec::NeuralRecommender model(config);
+  std::vector<poi::CheckinSequence> train(4);
+  for (int u = 0; u < 4; ++u) {
+    for (int i = 0; i < 24; ++i) {
+      train[u].push_back({u, (u * 37 + i * 11) % kPois, i * 3 * kHour, false});
+    }
+  }
+  model.Fit(train, pois);
+
+  poi::CheckinSequence history;
+  for (int i = 0; i < 64; ++i) {
+    history.push_back({9, (i * i * 7 + i) % kPois, i * 2 * kHour, false});
+  }
+  const int64_t next_ts = 64 * 2 * kHour;
+  auto rebuild_and_rank = [&] {
+    std::unique_ptr<rec::RecSession> session = model.NewSession(9);
+    for (const poi::Checkin& c : history) session->Observe(c);
+    return session->TopK(kPois, next_ts);
+  };
+
+  for (const kernels::KernelTable* table :
+       {&kernels::ScalarTable(), &kernels::BestSimdTable()}) {
+    kernels::SetDispatchOverride(table);
+    std::vector<int32_t> first;
+    for (int threads : {1, 4}) {
+      util::SetThreadCount(threads);
+      const std::string what =
+          std::string(table->name) + " threads=" + std::to_string(threads);
+      const std::vector<int32_t> in_place = rebuild_and_rank();
+      std::vector<int32_t> unfused, graph;
+      {
+        fusion::ScopedFusionDisable no_fusion;
+        unfused = rebuild_and_rank();
+      }
+      {
+        tensor::internal::ScopedInferenceDisable graph_mode;
+        graph = rebuild_and_rank();
+      }
+      EXPECT_EQ(in_place.size(), static_cast<size_t>(kPois)) << what;
+      EXPECT_EQ(in_place, unfused) << what;
+      EXPECT_EQ(in_place, graph) << what;
+      if (first.empty()) first = in_place;
+      EXPECT_EQ(in_place, first) << what << " vs threads=1";
+    }
+  }
+  util::SetThreadCount(0);
+  kernels::SetDispatchOverride(nullptr);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 // tier1.sh running it twice (scalar + auto) exercises the ops-layer wiring
 // both ways while the table-vs-table assertions stay the same.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -191,6 +192,108 @@ TEST(KernelBitIdentityTest, MatMulBlockAcrossAllTables) {
   tables[0]->matmul_block(az.data(), b.data(), tiled.data(), k, n, 2, m, 0, 20);
   tables[0]->matmul_block(az.data(), b.data(), tiled.data(), k, n, 2, m, 20, n);
   ExpectBitIdentical(ref, tiled, "matmul_block tiled vs full");
+}
+
+// The definition matmul_block implements, one element at a time: out[i, j]
+// accumulates a[i, p] * b[p, j] in ascending p onto its existing value,
+// skipping every p where a[i, p] is exactly zero.
+void NaiveMatMulBlock(const float* a, const float* b, float* out, int k,
+                      int n, int row_lo, int row_hi, int col_lo, int col_hi) {
+  for (int i = row_lo; i < row_hi; ++i) {
+    for (int j = col_lo; j < col_hi; ++j) {
+      float acc = out[static_cast<int64_t>(i) * n + j];
+      for (int p = 0; p < k; ++p) {
+        const float av = a[static_cast<int64_t>(i) * k + p];
+        if (av == 0.0f) continue;
+        acc += av * b[static_cast<int64_t>(p) * n + j];
+      }
+      out[static_cast<int64_t>(i) * n + j] = acc;
+    }
+  }
+}
+
+// The NaN an invalid operation (inf - inf, inf * 0) produces here. When two
+// NaNs of different bits meet in an add, IEEE 754 leaves open which one
+// comes out, and compilers order commutative operands freely, so a NaN
+// input other than this one makes the output's NaN sign depend on codegen
+// (the reference and every table then disagree in that bit alone). With
+// this one as the input NaN, every NaN in the product has the same bits.
+float GeneratedNan() {
+  volatile float inf = kInf;
+  return inf - inf;
+}
+
+// Matrix entries with ±0 at `zero_rate`, NaN, ±inf, ±denormals and an
+// underflowing 1e-20 scattered at `special_rate`, and finite values else.
+std::vector<float> MatMulInput(int64_t n, float zero_rate, float special_rate,
+                               uint32_t salt) {
+  const float specials[] = {GeneratedNan(), kInf,     -kInf,
+                            kDenorm,        -kDenorm, 1e-20f};
+  std::vector<float> v(static_cast<size_t>(n));
+  uint32_t state = 0x85ebca6bu + salt;
+  auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<float>(state >> 8) / static_cast<float>(1u << 24);
+  };
+  for (float& x : v) {
+    const float u = next();
+    if (u < zero_rate) {
+      x = (state & 0x100u) ? -0.0f : 0.0f;
+    } else if (u < zero_rate + special_rate) {
+      x = specials[(state >> 9) % (sizeof(specials) / sizeof(specials[0]))];
+    } else {
+      x = (next() - 0.5f) * 4.0f;
+    }
+  }
+  return v;
+}
+
+TEST(KernelBitIdentityTest, MatMulBlockMatchesNaiveReference) {
+  const std::vector<const KernelTable*> tables = AllTables();
+  uint32_t salt = 0;
+  for (int n : {1, 7, 31, 32, 33, 64, 96, 100, 2600}) {
+    for (int k : {1, 16, 24, 48}) {
+      for (int m : {1, 3, 64}) {
+        ++salt;
+        const std::vector<float> a =
+            MatMulInput(static_cast<int64_t>(m) * k, 0.1f, 0.02f, salt);
+        const std::vector<float> b =
+            MatMulInput(static_cast<int64_t>(k) * n, 0.05f, 0.005f, ~salt);
+        // Nonzero initial out: the tile accumulates onto what is there.
+        std::vector<float> init =
+            MatMulInput(static_cast<int64_t>(m) * n, 0.0f, 0.0f, salt * 7u);
+        for (float& x : init) x += x < 0.0f ? -0.25f : 0.25f;
+        // Whole rows, a column range starting and ending off the 32-wide
+        // tile, one ending on n, and a row sub-range.
+        struct Range {
+          int row_lo, row_hi, col_lo, col_hi;
+        };
+        std::vector<Range> ranges = {{0, m, 0, n}};
+        if (n > 5) ranges.push_back({0, m, 5, std::min(n, 70)});
+        if (n > 37) ranges.push_back({0, m, n - 37, n});
+        if (m > 1) ranges.push_back({1, m, n / 3, n});
+        for (const Range& r : ranges) {
+          std::vector<float> ref = init;
+          NaiveMatMulBlock(a.data(), b.data(), ref.data(), k, n, r.row_lo,
+                           r.row_hi, r.col_lo, r.col_hi);
+          for (const KernelTable* table : tables) {
+            std::vector<float> got = init;
+            table->matmul_block(a.data(), b.data(), got.data(), k, n,
+                                r.row_lo, r.row_hi, r.col_lo, r.col_hi);
+            ExpectBitIdentical(
+                ref, got,
+                std::string(table->name) + " matmul_block m=" +
+                    std::to_string(m) + " k=" + std::to_string(k) +
+                    " n=" + std::to_string(n) + " rows [" +
+                    std::to_string(r.row_lo) + ", " +
+                    std::to_string(r.row_hi) + ") cols [" +
+                    std::to_string(r.col_lo) + ", " +
+                    std::to_string(r.col_hi) + ")");
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelBitIdentityTest, GemvI8AcrossAllTables) {
