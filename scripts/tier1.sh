@@ -296,16 +296,17 @@ finally:
 EOF
 
 # Repository benchmark smoke: configure perfbench/ under build/, build and
-# run its self-tests, then short serve_warm and serve_churn runs (the real
-# `pa_serve listen` child under closed-loop load; churn rebuilds sessions
-# under eviction pressure), each of which must report its reference check
-# and guards as passed.
+# run its self-tests, then short serve_warm, serve_churn and augment_offline
+# runs (the real `pa_serve listen` child under closed-loop load; churn
+# rebuilds sessions under eviction pressure; augment_offline trains
+# PA-Seq2Seq and imputes every masked timeline), each of which must report
+# its reference check and guards as passed.
 bench_target=build/perfbench_target
 cmake -S perfbench -B "$bench_target/perfbench" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$bench_target/perfbench" -j"$(nproc)" --target perfbench_test
 "$bench_target/perfbench/perfbench_test"
-for workload in serve_warm serve_churn; do
+for workload in serve_warm serve_churn augment_offline; do
   CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
     --workload "$workload" --seed 1 --seconds 2 --trace 0 \
     | tee "build/tier1_perfbench_$workload.txt"

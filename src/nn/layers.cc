@@ -19,9 +19,10 @@ tensor::Tensor Linear::Forward(const tensor::Tensor& x) const {
 }
 
 void Linear::ForwardRow(const float* x, float* out) const {
+  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
   std::fill(out, out + out_dim_, 0.0f);
-  tensor::detail::MatMulForward(x, weight_.data(), out, 1, in_dim_, out_dim_);
-  tensor::kernels::Active().add(out, bias_.data(), out, out_dim_);
+  kt.matmul_block(x, weight_.data(), out, in_dim_, out_dim_, 0, 1, 0, out_dim_);
+  kt.add(out, bias_.data(), out, out_dim_);
 }
 
 std::vector<tensor::Tensor> Linear::Parameters() const {

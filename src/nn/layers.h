@@ -18,9 +18,9 @@ class Linear : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   /// Inference forward of one row into a caller buffer: `out[0, out)` =
-  /// `x[0, in)` W + b, with no tensor node or pool traffic. Same MatMul
-  /// kernel and tiling policy, then the active table's `add` for the bias,
-  /// so it is bitwise Forward on a `[1, in]` input.
+  /// `x[0, in)` W + b, with no tensor node or pool traffic. The active
+  /// table's `matmul_block`, then its `add` for the bias, as MatMul and Add
+  /// run them, so it is bitwise Forward on a `[1, in]` input.
   void ForwardRow(const float* x, float* out) const;
 
   std::vector<tensor::Tensor> Parameters() const override;

@@ -180,44 +180,30 @@ void SlowTraceReservoir::Abort(const TraceContext& ctx) {
 }
 
 void SlowTraceReservoir::Publish(std::shared_ptr<const CompletedTrace> trace) {
-  for (;;) {
-    int min_index = -1;
-    std::shared_ptr<const CompletedTrace> min_entry;
-    for (int i = 0; i < kWorst; ++i) {
-      std::shared_ptr<const CompletedTrace> entry =
-          worst_[i].load(std::memory_order_acquire);
-      if (!entry) {
-        min_index = i;
-        min_entry = nullptr;
-        break;
-      }
-      if (!min_entry || entry->total_ns < min_entry->total_ns) {
-        min_index = i;
-        min_entry = std::move(entry);
-      }
+  std::lock_guard<std::mutex> lock(worst_mu_);
+  // The first empty entry, else the fastest retained trace.
+  int victim = 0;
+  for (int i = 0; i < kWorst; ++i) {
+    if (!worst_[i]) {
+      victim = i;
+      break;
     }
-    if (min_entry && trace->total_ns <= min_entry->total_ns) return;
-    if (worst_[min_index].compare_exchange_strong(
-            min_entry, trace, std::memory_order_acq_rel)) {
-      ReservoirInstruments::Get().captured.Increment();
-      RecomputeFloor();
-      return;
-    }
-    // Another publisher swapped this entry first; re-scan and retry.
+    if (worst_[i]->total_ns < worst_[victim]->total_ns) victim = i;
   }
+  if (worst_[victim] && trace->total_ns <= worst_[victim]->total_ns) return;
+  worst_[victim] = std::move(trace);
+  ReservoirInstruments::Get().captured.Increment();
+  RecomputeFloorLocked();
 }
 
-void SlowTraceReservoir::RecomputeFloor() {
+void SlowTraceReservoir::RecomputeFloorLocked() {
   uint64_t floor = UINT64_MAX;
   for (int i = 0; i < kWorst; ++i) {
-    const std::shared_ptr<const CompletedTrace> entry =
-        worst_[i].load(std::memory_order_acquire);
-    if (!entry) return;  // Not warm yet: every completed trace still enters.
-    floor = std::min(floor, entry->total_ns);
+    if (!worst_[i]) return;  // Not warm yet: every completed trace enters.
+    floor = std::min(floor, worst_[i]->total_ns);
   }
-  // Entries are only ever replaced by slower traces, so the true floor is
-  // monotone non-decreasing; a stale (lower) published value merely lets an
-  // extra candidate through to the CAS loop, never rejects a deserving one.
+  // End reads the floor without the lock. A stale (lower) value only lets
+  // an extra candidate through to Publish, which re-checks under the lock.
   floor_ns_.store(floor, std::memory_order_relaxed);
 }
 
@@ -225,10 +211,11 @@ std::vector<std::shared_ptr<const CompletedTrace>>
 SlowTraceReservoir::WorstTraces() const {
   std::vector<std::shared_ptr<const CompletedTrace>> traces;
   traces.reserve(kWorst);
-  for (int i = 0; i < kWorst; ++i) {
-    std::shared_ptr<const CompletedTrace> entry =
-        worst_[i].load(std::memory_order_acquire);
-    if (entry) traces.push_back(std::move(entry));
+  {
+    std::lock_guard<std::mutex> lock(worst_mu_);
+    for (const auto& entry : worst_) {
+      if (entry) traces.push_back(entry);
+    }
   }
   std::sort(traces.begin(), traces.end(),
             [](const auto& a, const auto& b) {
@@ -240,9 +227,8 @@ SlowTraceReservoir::WorstTraces() const {
 
 std::shared_ptr<const CompletedTrace> SlowTraceReservoir::Find(
     uint64_t trace_id) const {
-  for (int i = 0; i < kWorst; ++i) {
-    std::shared_ptr<const CompletedTrace> entry =
-        worst_[i].load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(worst_mu_);
+  for (const auto& entry : worst_) {
     if (entry && entry->trace_id == trace_id) return entry;
   }
   return nullptr;
@@ -283,10 +269,9 @@ std::string SlowTraceReservoir::Json() const {
 }
 
 void SlowTraceReservoir::Clear() {
+  std::lock_guard<std::mutex> lock(worst_mu_);
   floor_ns_.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < kWorst; ++i) {
-    worst_[i].store(nullptr, std::memory_order_release);
-  }
+  for (auto& entry : worst_) entry = nullptr;
 }
 
 }  // namespace pa::obs

@@ -27,9 +27,9 @@ namespace pa::obs {
 ///
 /// Concurrency: in-flight traces live in a fixed pool of slots (trace id ≡
 /// slot index mod kSlots); appends take the owning slot's uncontended
-/// mutex. The completed-trace reservoir itself is lock-free — entries are
-/// `std::atomic<std::shared_ptr>` swapped in by CAS, so a /slowz reader
-/// never blocks a request thread and vice versa.
+/// mutex. The completed-trace reservoir is a small array under one mutex:
+/// only a trace slower than the floor takes it (the floor check is a
+/// relaxed load), and /slowz readers copy the `shared_ptr`s out under it.
 ///
 /// Request tracing is on by default in every binary that links this layer;
 /// `PA_TRACE_REQUESTS=off` (or `0`/`false`) disables minting, which turns
@@ -89,8 +89,7 @@ class SlowTraceReservoir {
   /// connection died before the response flushed).
   void Abort(const TraceContext& ctx);
 
-  /// The retained traces, worst first. Lock-free readers: each entry is an
-  /// atomic shared_ptr load.
+  /// The retained traces, worst first, copied out under the reservoir lock.
   std::vector<std::shared_ptr<const CompletedTrace>> WorstTraces() const;
 
   /// The retained trace with this id, or null.
@@ -100,8 +99,7 @@ class SlowTraceReservoir {
   /// trees, worst first.
   std::string Json() const;
 
-  /// Drops retained traces and resets the floor. For tests and bench arms;
-  /// not safe against concurrent End publication.
+  /// Drops retained traces and resets the floor. For tests and bench arms.
   void Clear();
 
   /// Current reservoir floor in nanoseconds (0 until kWorst traces are
@@ -125,13 +123,16 @@ class SlowTraceReservoir {
   };
 
   Slot& SlotFor(uint64_t trace_id) { return slots_[trace_id % kSlots]; }
-  /// Publishes into worst_ if `trace` beats the floor (CAS loop).
+  /// Retains `trace` in an empty entry, or in place of the fastest
+  /// retained trace if `trace` is slower.
   void Publish(std::shared_ptr<const CompletedTrace> trace);
-  void RecomputeFloor();
+  /// Republishes floor_ns_ from worst_; the caller holds worst_mu_.
+  void RecomputeFloorLocked();
 
   Slot slots_[kSlots];
   std::atomic<uint32_t> next_slot_{0};
-  std::atomic<std::shared_ptr<const CompletedTrace>> worst_[kWorst];
+  mutable std::mutex worst_mu_;  // Guards worst_.
+  std::shared_ptr<const CompletedTrace> worst_[kWorst];
   std::atomic<uint64_t> floor_ns_{0};
 };
 

@@ -1087,7 +1087,7 @@ std::vector<Tensor> Replay(Program& p, std::initializer_list<Tensor> inputs,
         break;
       case OpKind::kMatMul:
         std::memset(out, 0, sizeof(float) * ins.mm_n);
-        detail::MatMulForward(a, b, out, 1, ins.mm_k, ins.mm_n);
+        kt.matmul_block(a, b, out, ins.mm_k, ins.mm_n, 0, 1, 0, ins.mm_n);
         break;
       case OpKind::kLerp:
         kt.lerp(c, a, b, out, ins.n);

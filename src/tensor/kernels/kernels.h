@@ -21,13 +21,14 @@ namespace pa::tensor::kernels {
 ///  * The row reductions (`softmax`, `log_softmax`) allow `out` to alias
 ///    `a` exactly, and treat `n <= 0` as a no-op: this is the shared
 ///    empty-row guard — callers never read `row[0]` of a zero-width row.
-///  * `matmul_block` and `gemv_i8` require `out` disjoint from the inputs.
+///  * `matmul_block`, `matmul_grad_a`, `matmul_grad_b` and `gemv_i8`
+///    require their output disjoint from the inputs.
 ///
 /// Bit-identity contract (asserted by tests/tensor_kernels_test.cc):
-///  * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/gemv_i8 are
-///    bit-identical across all tables: the per-element arithmetic is the
-///    same source compiled without FMA contraction, so lane width never
-///    changes a result.
+///  * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_a/
+///    matmul_grad_b/gemv_i8 are bit-identical across all tables: the
+///    per-element arithmetic is the same source compiled without FMA
+///    contraction, so lane width never changes a result.
 ///  * sigmoid/tanh/exp/softmax/log_softmax route through expf. The scalar
 ///    table keeps libm `std::exp` (bit-identical to the pre-SIMD engine);
 ///    the SIMD tables substitute a branchless polynomial exp (see
@@ -65,6 +66,17 @@ struct KernelTable {
   // width never change a bit.
   void (*matmul_block)(const float* a, const float* b, float* out, int k,
                        int n, int row_lo, int row_hi, int col_lo, int col_hi);
+
+  // MatMul's backward for Y = A B, A [m, k], B [k, n], dY [m, n]. These are
+  // the exact sequences of the engine's original closure loops:
+  //  * matmul_grad_a: da[i, p] += sum_j dy[i, j] * b[p, j]. Each sum starts
+  //    from +0, runs in ascending j, and is then added to da once.
+  //  * matmul_grad_b: db[p, j] += a[i, p] * dy[i, j] in ascending i,
+  //    skipping every i where a[i, p] is exactly zero.
+  void (*matmul_grad_a)(const float* dy, const float* b, float* da, int m,
+                        int k, int n);
+  void (*matmul_grad_b)(const float* a, const float* dy, float* db, int m,
+                        int k, int n);
 
   // Row-scaled int8 GEMV for the quantized serving path:
   //   out[j] = dx * scales[j] * (sum_p qx[p] * qw[p * n + j]) + bias[j]

@@ -10,7 +10,6 @@
 #include "tensor/buffer_pool.h"
 #include "tensor/compiled_step.h"
 #include "tensor/kernels/kernels.h"
-#include "util/thread_pool.h"
 
 namespace pa::tensor {
 
@@ -90,12 +89,14 @@ std::vector<float> ZeroedForwardBuffer(int64_t n, bool inference) {
   return std::vector<float>(static_cast<size_t>(n), 0.0f);
 }
 
-// Accumulates `g` into the gradient buffer of `dst` if it needs one. All
-// parent-gradient writes go through internal::GradBuffer so data-parallel
-// training can redirect them into thread-private buffers (see
-// GradRedirectScope in tensor.h).
+// Accumulates `g(i)` into element i of `dst`'s gradient buffer if it needs
+// one. All parent-gradient writes go through internal::GradBuffer so
+// data-parallel training can redirect them into thread-private buffers (see
+// GradRedirectScope in tensor.h). `g` is a template parameter so each
+// closure's loop inlines.
+template <typename ElementGrad>
 void Accumulate(const std::shared_ptr<TensorImpl>& dst,
-                const std::function<float(int64_t)>& g) {
+                const ElementGrad& g) {
   if (!NeedsGrad(*dst)) return;
   std::vector<float>& grad = internal::GradBuffer(*dst);
   const int64_t n = dst->shape.numel();
@@ -447,113 +448,39 @@ Tensor Axpby(const Tensor& a, float alpha, Tensor&& b, float beta) {
   return AxpbyOp(a, alpha, b, beta, false, true);
 }
 
-namespace {
-
-// Below this many multiply-adds a MatMul (or one side of its backward) runs
-// sequentially — pool dispatch would cost more than it saves.
-constexpr int64_t kMatMulParallelFlops = int64_t{1} << 16;
-
-// Whether an m x k x n product is worth tiling across the pool.
-bool MatMulParallelWorthwhile(int m, int k, int n) {
-  return static_cast<int64_t>(m) * k * n >= kMatMulParallelFlops &&
-         util::GlobalPool().num_threads() > 1;
-}
-
-// Tiles rows across the pool when there are enough of them, otherwise
-// columns (the library's hot products are [1, k] x [k, vocab], all columns).
-// The per-tile inner loop lives in the dispatch table (matmul_block); every
-// variant accumulates each out[i, j] as the same ascending-p axpy chain, so
-// tiling and dispatch choice never change a bit.
-void MatMulCompute(const float* a, const float* b, float* out, int m, int k,
-                   int n) {
-  const kernels::KernelTable& kt = kernels::Active();
-  if (!MatMulParallelWorthwhile(m, k, n)) {
-    kt.matmul_block(a, b, out, k, n, 0, m, 0, n);
-    return;
-  }
-  util::ThreadPool& pool = util::GlobalPool();
-  if (m >= pool.num_threads()) {
-    pool.ParallelForRange(0, m, 1, [&](int64_t lo, int64_t hi) {
-      kt.matmul_block(a, b, out, k, n, static_cast<int>(lo),
-                      static_cast<int>(hi), 0, n);
-    });
-  } else {
-    pool.ParallelForRange(0, n, 64, [&](int64_t lo, int64_t hi) {
-      kt.matmul_block(a, b, out, k, n, 0, m, static_cast<int>(lo),
-                      static_cast<int>(hi));
-    });
-  }
-}
-
-}  // namespace
-
+// The whole product runs on the calling thread: parallelism lives at coarser
+// grains (users in EvaluateHr, items in mini-batch training, shards in
+// serving). Forward and backward are dispatched kernels whose sums run in a
+// fixed order, so the table choice never changes a bit (kernels.h).
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (a.cols() != b.rows()) {
     Fatal("MatMul: inner dims mismatch " + a.shape().ToString() + " x " +
           b.shape().ToString());
   }
   const int m = a.rows(), k = a.cols(), n = b.cols();
+  const kernels::KernelTable& kt = kernels::Active();
   if (internal::InferenceModeActive()) {
     const int64_t numel = static_cast<int64_t>(m) * n;
     std::vector<float> out = ZeroedForwardBuffer(numel, true);
-    MatMulCompute(a.data(), b.data(), out.data(), m, k, n);
+    kt.matmul_block(a.data(), b.data(), out.data(), k, n, 0, m, 0, n);
     Tensor r = MakeInferenceResult({m, n}, std::move(out));
     if (fu::Recording()) fu::RecordMatMul(a.impl(), b.impl(), r.impl());
     return r;
   }
   std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
-  MatMulCompute(a.data(), b.data(), out.data(), m, k, n);
+  kt.matmul_block(a.data(), b.data(), out.data(), k, n, 0, m, 0, n);
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeResult(
       {m, n}, std::move(out), {a, b}, [ai, bi, m, k, n](TensorImpl& y) {
-        // Gradient buffers resolve on this thread (GradBuffer consults
-        // thread-local redirection), then tiles write disjoint elements.
+        const kernels::KernelTable& bk = kernels::Active();
         if (NeedsGrad(*ai)) {
-          float* agrad = internal::GradBuffer(*ai).data();
-          const float* grad = y.grad.data();
-          const float* bdata = bi->data.data();
-          // dA = dY * B^T; each dA row is independent, and for a single row
-          // the k entries are independent dot products.
-          auto rows = [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              for (int p = 0; p < k; ++p) {
-                float acc = 0.0f;
-                const float* grow = grad + i * n;
-                const float* brow = bdata + p * n;
-                for (int j = 0; j < n; ++j) acc += grow[j] * brow[j];
-                agrad[i * k + p] += acc;
-              }
-            }
-          };
-          if (MatMulParallelWorthwhile(m, k, n) && m > 1) {
-            util::GlobalPool().ParallelForRange(0, m, 1, rows);
-          } else {
-            rows(0, m);
-          }
+          bk.matmul_grad_a(y.grad.data(), bi->data.data(),
+                           internal::GradBuffer(*ai).data(), m, k, n);
         }
         if (NeedsGrad(*bi)) {
-          float* bgrad = internal::GradBuffer(*bi).data();
-          const float* grad = y.grad.data();
-          const float* adata = ai->data.data();
-          // dB = A^T * dY; partitioned by dB row p — for fixed (p, j) the
-          // sum over i runs ascending exactly as in the sequential loop.
-          auto rows = [&](int64_t lo, int64_t hi) {
-            for (int64_t p = lo; p < hi; ++p) {
-              float* brow = bgrad + p * n;
-              for (int i = 0; i < m; ++i) {
-                const float av = adata[i * k + p];
-                if (av == 0.0f) continue;
-                const float* grow = grad + i * n;
-                for (int j = 0; j < n; ++j) brow[j] += av * grow[j];
-              }
-            }
-          };
-          if (MatMulParallelWorthwhile(m, k, n) && k > 1) {
-            util::GlobalPool().ParallelForRange(0, k, 1, rows);
-          } else {
-            rows(0, k);
-          }
+          bk.matmul_grad_b(ai->data.data(), y.grad.data(),
+                           internal::GradBuffer(*bi).data(), m, k, n);
         }
       });
 }
@@ -1068,11 +995,6 @@ StridedView SliceRowsView(const Tensor& a, int start, int len) {
 }
 
 namespace detail {
-
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n) {
-  MatMulCompute(a, b, out, m, k, n);
-}
 
 Tensor MakeInferencePooled(Shape shape, std::vector<float> data) {
   return MakeInferenceResult(shape, std::move(data));

@@ -145,20 +145,11 @@ StridedView SliceRowsView(const Tensor& a, int start, int len);
 
 namespace detail {
 
-/// Internal hooks for the compiled-step replayer (compiled_step.cc) and
-/// the LSTM's explicit forward (nn/lstm.cc). Not for general use: these
-/// bypass the autograd layer entirely.
-
-/// The exact inference-mode MatMul forward (same zero-skip inner kernel,
-/// same parallel tiling decision), writing into a caller-provided
-/// zero-initialized out buffer. Replay goes through this so a compiled
-/// step's matmuls stay bit-identical to the eager op, including the
-/// threaded path.
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n);
-
 /// Wraps a pool-acquired buffer as an inference-mode tensor node (pooled,
-/// no grad, recycled like any fast-path result).
+/// no grad, recycled like any fast-path result). An internal hook for the
+/// compiled-step replayer (compiled_step.cc) and the LSTM's explicit
+/// forward (nn/lstm.cc); not for general use, since it bypasses the
+/// autograd layer entirely.
 Tensor MakeInferencePooled(Shape shape, std::vector<float> data);
 
 }  // namespace detail

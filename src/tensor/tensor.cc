@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "tensor/buffer_pool.h"
 
@@ -169,25 +168,27 @@ void Tensor::AxpyInPlace(float alpha, const std::vector<float>& delta) {
 
 namespace {
 
-// Iterative post-order topological sort over the autograd DAG. Recursion is
-// avoided because sequence models routinely build graphs tens of thousands of
-// nodes deep (one LSTM step per check-in per layer).
+// Iterative post-order topological sort over the root and the interior
+// nodes below it. Recursion is avoided because sequence models routinely
+// build graphs tens of thousands of nodes deep (one LSTM step per check-in
+// per layer). Leaves are skipped: they have no backward_fn to run and no
+// edges to release, and they are never marked. The root needs no mark
+// either, because no path in a DAG leads back to it.
 void TopoSort(internal::TensorImpl* root,
               std::vector<internal::TensorImpl*>* order) {
-  std::unordered_set<internal::TensorImpl*> visited;
   struct Frame {
     internal::TensorImpl* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({root, 0});
-  visited.insert(root);
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       internal::TensorImpl* parent =
           frame.node->parents[frame.next_parent++].get();
-      if (visited.insert(parent).second) {
+      if (parent->backward_fn != nullptr && !parent->visited) {
+        parent->visited = true;
         stack.push_back({parent, 0});
       }
     } else {

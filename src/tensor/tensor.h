@@ -39,6 +39,10 @@ struct TensorImpl {
   // True when `data` came from the thread-local BufferPool (inference mode);
   // the destructor then recycles the storage instead of freeing it.
   bool pooled = false;
+  // Set by Backward's graph walk on interior nodes (those with a
+  // `backward_fn`) only: leaves may be shared across training threads.
+  // Backward releases every node it walks, so the flag is never reset.
+  bool visited = false;
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void(TensorImpl&)> backward_fn;
 

@@ -152,8 +152,9 @@ TEST_F(ParallelDeterminismTest, PaSeq2SeqTrainingStepThreadCountInvariant) {
 }
 
 TEST_F(ParallelDeterminismTest, MatMulForwardBackwardThreadCountInvariant) {
-  // Big enough to cross the parallel-tiling flops threshold (64*96*80 ≈
-  // 491k multiply-adds), with gradients flowing to both operands.
+  // MatMul runs on the calling thread, so the pool size must not reach it;
+  // 64*96*80 ≈ 491k multiply-adds, with gradients flowing to both operands
+  // through the dispatched backward kernels.
   const int m = 64, k = 96, n = 80;
   util::Rng rng(3);
   std::vector<float> a_data(static_cast<size_t>(m) * k);

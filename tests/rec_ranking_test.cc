@@ -164,8 +164,8 @@ class DispatchOverride {
 };
 
 TEST(LinearForwardRowTest, BitwiseLinearForwardUnderEveryTable) {
-  // The serving shape (hidden 24 x a 2,600-POI catalogue), one large
-  // enough for MatMul to tile across the pool, and an odd small one.
+  // The serving shape (hidden 24 x a 2,600-POI catalogue), a wider one
+  // (hidden 64) and an odd small one.
   const int shapes[][2] = {{24, 2600}, {64, 2600}, {13, 37}};
   for (const kernels::KernelTable* table : AllTables()) {
     const DispatchOverride dispatch(table);

@@ -424,9 +424,8 @@ TEST(CompiledStepTest, StRnnThreeWayParityAcrossBucketVariants) {
       "st_rnn");
 }
 
-// PA_THREADS > 1 with a hidden size big enough that the unfused and graph
-// matmuls cross kMatMulParallelFlops and actually run tiled on the pool,
-// while the explicit forward runs each product whole on the calling thread.
+// PA_THREADS > 1 at a large hidden size: every path runs each product whole
+// on the calling thread, so the pool size must not move a bit.
 TEST(CompiledStepTest, LstmThreadedParityAtLargeHidden) {
   util::Rng rng(37);
   nn::LstmCell cell(64, 160, rng);
@@ -653,8 +652,7 @@ TEST(ExplicitLstmTest, BatchThreeMatchesGraphPath) {
 }
 
 TEST(ExplicitLstmTest, ServedSessionRebuildMatchesStepPath) {
-  // A catalogue wide enough that the [1, 24] x [24, 3000] projection tiles
-  // across the pool at four threads.
+  // A [1, 24] x [24, 3000] projection, checked at one and four threads.
   constexpr int kPois = 3000;
   std::vector<geo::LatLng> coords;
   for (int i = 0; i < kPois; ++i) {

@@ -3,8 +3,9 @@
 // inputs — NaN, +/-inf, -0, denormals, and lengths that are not a multiple
 // of any vector width — and held to the contract documented in kernels.h:
 //
-//   * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/gemv_i8 are
-//     BIT-IDENTICAL across all tables (memcmp, NaN bits included).
+//   * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_a/
+//     matmul_grad_b/gemv_i8 are BIT-IDENTICAL across all tables (memcmp,
+//     NaN bits included).
 //   * sigmoid/tanh/exp/softmax/log_softmax: SIMD tables are bit-identical
 //     to each other, and within a small documented tolerance of the scalar
 //     (libm) table; edge semantics (NaN propagation, saturation) match.
@@ -290,6 +291,81 @@ TEST(KernelBitIdentityTest, MatMulBlockMatchesNaiveReference) {
                     std::to_string(r.col_lo) + ", " +
                     std::to_string(r.col_hi) + ")");
           }
+        }
+      }
+    }
+  }
+}
+
+// MatMul's backward as the engine ran it before the kernel entries existed:
+// the two closure loops of ops.cc, copied verbatim (names and all), for
+// Y = A B with A [m, k], B [k, n] and dY in `grad`.
+void ClosureMatMulGradA(const float* grad, const float* bdata, float* agrad,
+                        int m, int k, int n) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      float acc = 0.0f;
+      const float* grow = grad + i * n;
+      const float* brow = bdata + p * n;
+      for (int j = 0; j < n; ++j) acc += grow[j] * brow[j];
+      agrad[i * k + p] += acc;
+    }
+  }
+}
+
+void ClosureMatMulGradB(const float* adata, const float* grad, float* bgrad,
+                        int m, int k, int n) {
+  for (int64_t p = 0; p < k; ++p) {
+    float* brow = bgrad + p * n;
+    for (int i = 0; i < m; ++i) {
+      const float av = adata[i * k + p];
+      if (av == 0.0f) continue;
+      const float* grow = grad + i * n;
+      for (int j = 0; j < n; ++j) brow[j] += av * grow[j];
+    }
+  }
+}
+
+TEST(KernelBitIdentityTest, MatMulGradMatchesNaiveReference) {
+  const std::vector<const KernelTable*> tables = AllTables();
+  uint32_t salt = 1000;
+  // k steps over and around the 8-chain groups of matmul_grad_a.
+  for (int k : {1, 7, 8, 9, 16, 17, 24, 48}) {
+    for (int n : {1, 7, 33, 96, 2600}) {
+      for (int m : {1, 3}) {
+        ++salt;
+        // Exact zeros in A make the dB skip fire; every operand also
+        // carries ±0, ±inf, ±denormals and the generated NaN.
+        const std::vector<float> a =
+            MatMulInput(static_cast<int64_t>(m) * k, 0.15f, 0.02f, salt);
+        const std::vector<float> b =
+            MatMulInput(static_cast<int64_t>(k) * n, 0.05f, 0.005f, ~salt);
+        const std::vector<float> dy =
+            MatMulInput(static_cast<int64_t>(m) * n, 0.05f, 0.005f,
+                        salt * 13u);
+        // Nonzero initial gradients: both entries accumulate onto them.
+        std::vector<float> da0 =
+            MatMulInput(static_cast<int64_t>(m) * k, 0.0f, 0.0f, salt * 7u);
+        std::vector<float> db0 =
+            MatMulInput(static_cast<int64_t>(k) * n, 0.0f, 0.0f, salt * 5u);
+        for (float& x : da0) x += x < 0.0f ? -0.25f : 0.25f;
+        for (float& x : db0) x += x < 0.0f ? -0.25f : 0.25f;
+        std::vector<float> da_ref = da0, db_ref = db0;
+        ClosureMatMulGradA(dy.data(), b.data(), da_ref.data(), m, k, n);
+        ClosureMatMulGradB(a.data(), dy.data(), db_ref.data(), m, k, n);
+        const std::string shape = " m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n);
+        for (const KernelTable* table : tables) {
+          std::vector<float> da = da0, db = db0;
+          table->matmul_grad_a(dy.data(), b.data(), da.data(), m, k, n);
+          table->matmul_grad_b(a.data(), dy.data(), db.data(), m, k, n);
+          ExpectBitIdentical(da_ref, da,
+                             std::string(table->name) + " matmul_grad_a" +
+                                 shape);
+          ExpectBitIdentical(db_ref, db,
+                             std::string(table->name) + " matmul_grad_b" +
+                                 shape);
         }
       }
     }
