@@ -27,10 +27,10 @@
 // on the PA_SIMD environment the bench happens to run under.
 //
 // Schema v3 adds the operator-fusion arm: `nograph` runs under
-// ScopedFusionDisable (the exact pre-fusion fast path, so its history stays
-// comparable across PRs), and a fourth interleaved `fused` arm runs the
-// default path: the LSTM's explicit fused forward, or for ST-CLSTM the
-// compiled per-cell program RunStep replays.
+// ScopedFusionDisable (the cells' tensor-op bodies on the graph-free path,
+// so its history stays comparable across PRs), and a fourth interleaved
+// `fused` arm runs the default path: each cell's explicit fused forward
+// (`LstmCell::ForwardRows`, `StClstmCell::ForwardRows`).
 // *_fused_speedup is nograph-ns / fused-ns, gated >= 1.3x on lstm and
 // st_clstm in full mode; the fused rollout must stay bit-identical to the
 // unfused one (same dispatch table — the fused kernels reuse each table's
@@ -72,7 +72,6 @@
 #include "rec/registry.h"
 #include "serve/json.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/compiled_step.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -179,8 +178,9 @@ ModePair TimeModePair(InitFn init, GraphFn step_graph, FastFn step_fast,
       tensor::kernels::SetDispatchOverride(&simd);
     }
     {
-      // Default path. For a cell on RunStep the warmup rep records and
-      // compiles the step, so the timed reps measure pure replay.
+      // Default path: the cell's explicit fused forward. The warmup rep
+      // grows its per-thread scratch, so the timed reps allocate nothing
+      // beyond the pooled outputs.
       tensor::InferenceModeScope scope;
       OneArmPass(init, step_fast, steps, rollouts,
                  r < 0 ? &warmup_sink : &pair.fused);

@@ -73,9 +73,9 @@ INFERENCE_PATH_V2_KEYS = (
     "quant_hr_drift",
 )
 
-# inference_path grew the operator-fusion / compiled-step arm in
-# schema_version 3: `nograph` pins fusion off (comparable with v2 history)
-# and the fused arm replays the compiled per-cell program;
+# inference_path grew the operator-fusion arm in schema_version 3:
+# `nograph` pins fusion off (comparable with v2 history) and the fused arm
+# runs the cells' explicit fused forwards;
 # *_fused_speedup = nograph_ns / fused_ns.
 INFERENCE_PATH_V3_KEYS = (
     "fusion_enabled",

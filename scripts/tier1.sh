@@ -27,11 +27,11 @@ for simd in scalar auto; do
     -R 'tensor_kernels_test|tensor_ops_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test'
 done
 
-# Fusion escape-hatch cross-check: the compiled-step suites rerun with
-# PA_FUSION=off, proving the unfused fast path still stands on its own (and
-# that the fusion tests' assertions degrade gracefully when the recorder
-# never engages), and the serving suites prove that LSTM sessions, which
-# step their state in place only while fusion is on, fall back to the
+# Fusion escape-hatch cross-check: with PA_FUSION=off every recurrent cell
+# runs its tensor-op body instead of its explicit fused forward. The fusion
+# and equivalence suites rerun that way, proving the graph-free tensor-op
+# path stands on its own, and the serving suites prove that LSTM sessions,
+# which step their state in place only while fusion is on, fall back to the
 # tensor-op step path intact.
 PA_FUSION=off ctest --test-dir build --output-on-failure \
   -R 'tensor_fusion_test|inference_equivalence_test|rec_neural_test|serve_session_store_test'
@@ -205,29 +205,13 @@ try:
 
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     f = sock.makefile("r")
-    reqs = [{"op": "topk", "user": u, "k": 5, "timestamp": 1000 + u}
-            for u in range(6)]
-    sock.sendall("".join(json.dumps(r) + "\n" for r in reqs).encode())
-    for r in reqs:  # Pipelined burst comes back in request order.
-        resp = json.loads(f.readline())
-        assert resp["ok"] is True and "pois" in resp, resp
-
-    sock.sendall(b'{"op":"topk","user":99999,"strict":true,"id":7}\n')
-    resp = json.loads(f.readline())
-    assert resp["ok"] is False and resp["code"] == "unknown_user" \
-        and resp["id"] == 7, resp
-
-    sock.sendall(b'{"op":"stats"}\n')
-    resp = json.loads(f.readline())
-    assert resp["ok"] is True and resp["shards"] == 2 \
-        and len(resp["per_shard"]) == 2, resp
-    assert resp["metrics_port"] == metrics_port, resp
 
     # Request-tracing round trip against the real binary: the trace id a
     # client reads from a response envelope must resolve on the slow-trace
     # reservoir — fetched through the `slowz` subcommand — with the four
     # stage spans attributed, and trace_summary.py must render the span
-    # tree from that dump.
+    # tree from that dump. It runs first: the reservoir is not yet full,
+    # so the trace enters it whatever its latency.
     sock.sendall(b'{"op":"topk","user":1,"k":5,"timestamp":2000,"id":42}\n')
     resp_line = f.readline()
     m = re.search(r'"trace":"([0-9a-f]+)"', resp_line)
@@ -250,6 +234,24 @@ try:
         ["python3", "scripts/trace_summary.py", "build/tier1_slowz.json",
          "--trace", trace_hex], check=True, stdout=subprocess.DEVNULL)
 
+    reqs = [{"op": "topk", "user": u, "k": 5, "timestamp": 1000 + u}
+            for u in range(6)]
+    sock.sendall("".join(json.dumps(r) + "\n" for r in reqs).encode())
+    for r in reqs:  # Pipelined burst comes back in request order.
+        resp = json.loads(f.readline())
+        assert resp["ok"] is True and "pois" in resp, resp
+
+    sock.sendall(b'{"op":"topk","user":99999,"strict":true,"id":7}\n')
+    resp = json.loads(f.readline())
+    assert resp["ok"] is False and resp["code"] == "unknown_user" \
+        and resp["id"] == 7, resp
+
+    sock.sendall(b'{"op":"stats"}\n')
+    resp = json.loads(f.readline())
+    assert resp["ok"] is True and resp["shards"] == 2 \
+        and len(resp["per_shard"]) == 2, resp
+    assert resp["metrics_port"] == metrics_port, resp
+
     conn = http.client.HTTPConnection("127.0.0.1", metrics_port, timeout=10)
     conn.request("GET", "/metrics")
     http_resp = conn.getresponse()
@@ -263,9 +265,9 @@ try:
 
     # Wire lines that used to abort every shard (an unknown POI) or reach
     # an undefined double->int64 cast get typed bad_request errors, and
-    # both this connection and a fresh one keep being answered. (Sent after
-    # the trace round trip, whose request must stay among the slow-trace
-    # reservoir's K worst.)
+    # both this connection and a fresh one keep being answered. (Like every
+    # request after the trace round trip, they come once the reservoir has
+    # been read, so they cannot crowd the traced request out of it.)
     sock.sendall(b'{"op":"observe","user":1,"poi":999999,"timestamp":5}\n'
                  b'{"op":"topk","user":1e300,"k":5,"timestamp":5,"id":1e300}\n'
                  b'{"op":"topk","user":1,"k":5,"timestamp":1500}\n')
@@ -346,8 +348,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # tensors through every kernel table — exactly where memory bugs and UB
 # (bad float->int casts, OOB tails past a vector width) would hide. The
 # kernel suite runs under both PA_SIMD extremes here too, and the fusion
-# suite rides along because compiled-step replay hands raw pointer offsets
-# (views into gates buffers, arena slots) straight to the kernels.
+# suite rides along because the cells' explicit forwards hand raw column
+# offsets and scratch layouts (gate blocks inside one row, matmul_block
+# column ranges) straight to the kernels.
 cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \

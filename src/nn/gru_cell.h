@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -22,9 +21,23 @@ class GruCell : public Module {
  public:
   GruCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`.
+  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. Under inference
+  /// mode with fusion enabled this runs `ForwardRows` into a pooled output;
+  /// otherwise the tensor-op body, which gives the same bits within one
+  /// kernel table.
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
+
+  /// The explicit inference step over raw rows: x `[batch, input_dim]`,
+  /// h_prev and h_out `[batch, hidden_dim]`. x*W_x over [z, r, n] and
+  /// h*W_h over [z, r] run through the active table's matmul_block on the
+  /// calling thread into a zeroed per-thread scratch; add3 and sigmoid give
+  /// z|r; (r∘h)*W_h reads W_h's n block in place through matmul_block's
+  /// column range; then add3, tanh and lerp(z, h, n). Per element that is
+  /// the tensor-op body's exact FP sequence. h_out may alias h_prev exactly,
+  /// but not x. No autograd.
+  void ForwardRows(const float* x, const float* h_prev, float* h_out,
+                   int batch) const;
 
   tensor::Tensor InitialState(int batch) const;
 
@@ -39,7 +52,6 @@ class GruCell : public Module {
   tensor::Tensor w_x_;  // [input_dim, 3 * hidden] for z, r, n.
   tensor::Tensor w_h_;  // [hidden, 3 * hidden]
   tensor::Tensor b_;    // [1, 3 * hidden]
-  tensor::fusion::StepSite site_;
 };
 
 }  // namespace pa::nn

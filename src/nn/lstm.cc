@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "nn/layers.h"
-#include "tensor/buffer_pool.h"
-#include "tensor/compiled_step.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
@@ -53,13 +51,11 @@ LstmState LstmCell::Forward(const tensor::Tensor& x,
   if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
       x.cols() == input_dim_ && prev.h.shape() == state_shape &&
       prev.c.shape() == state_shape) {
-    tensor::internal::BufferPool& pool = tensor::internal::ThisThreadPool();
-    std::vector<float> hh = pool.Acquire(static_cast<size_t>(batch) * h);
-    std::vector<float> c = pool.Acquire(static_cast<size_t>(batch) * h);
-    ForwardRows(x.data(), prev.h.data(), prev.c.data(), hh.data(), c.data(),
-                batch);
-    return {tensor::detail::MakeInferencePooled(state_shape, std::move(hh)),
-            tensor::detail::MakeInferencePooled(state_shape, std::move(c))};
+    LstmState next{tensor::detail::MakeInferencePooled(state_shape),
+                   tensor::detail::MakeInferencePooled(state_shape)};
+    ForwardRows(x.data(), prev.h.data(), prev.c.data(), next.h.data(),
+                next.c.data(), batch);
+    return next;
   }
   Tensor gates = tensor::Add(
       tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);

@@ -5,7 +5,6 @@
 
 #include "nn/lstm.h"
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -32,9 +31,25 @@ class StClstmCell : public Module {
   StClstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
   /// One step. `delta_t` and `delta_d` are the (normalized) time and
-  /// distance intervals from the previous check-in to this one.
+  /// distance intervals from the previous check-in to this one. Under
+  /// inference mode with fusion enabled this runs `ForwardRows` into pooled
+  /// outputs; otherwise the tensor-op body, which gives the same bits within
+  /// one kernel table.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev,
                     float delta_t, float delta_d) const;
+
+  /// The explicit inference step over raw rows: x `[batch, input_dim]`,
+  /// h_prev / c_prev in and h_out / c_out out, each `[batch, hidden_dim]`.
+  /// x*W_x and h*W_h over [i, g, o], x*W_xt and x*W_xd run through the
+  /// active table's matmul_block on the calling thread into a zeroed
+  /// per-thread scratch; mulc scales w_t by Δt and w_d by Δd; three add3
+  /// calls, gate_act over [i, g, o] and sigmoid on the T and D gates; two
+  /// mul calls give ĩ, then lerp(ĩ, g, c_prev) and tanh_mul. Per element
+  /// that is the tensor-op body's exact FP sequence. h_out and c_out may
+  /// alias h_prev and c_prev exactly, but not x. No autograd.
+  void ForwardRows(const float* x, const float* h_prev, const float* c_prev,
+                   float delta_t, float delta_d, float* h_out, float* c_out,
+                   int batch) const;
 
   LstmState InitialState(int batch) const;
 
@@ -55,7 +70,6 @@ class StClstmCell : public Module {
   tensor::Tensor w_xd_;  // [input_dim, hidden] distance-gate input weights.
   tensor::Tensor w_d_;   // [1, hidden]
   tensor::Tensor b_d_;   // [1, hidden]
-  tensor::fusion::StepSite site_;
 };
 
 }  // namespace pa::nn

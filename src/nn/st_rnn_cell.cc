@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/rnn_cell.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -44,21 +45,27 @@ int StRnnCell::DistanceBucket(float delta_d) const {
 tensor::Tensor StRnnCell::Forward(const tensor::Tensor& x,
                                   const tensor::Tensor& h, float delta_t,
                                   float delta_d) const {
-  const int db = DistanceBucket(delta_d);
-  const int tb = TimeBucket(delta_t);
-  const tensor::Tensor& wx = w_x_[static_cast<size_t>(db)];
-  const tensor::Tensor& wh = w_h_[static_cast<size_t>(tb)];
-  // The bucket pair selects which weight matrices the body closes over, so
-  // it is the compiled-program variant, not a per-step scalar.
-  const uint32_t variant =
-      static_cast<uint32_t>(db) * static_cast<uint32_t>(time_buckets_) +
-      static_cast<uint32_t>(tb);
-  std::vector<tensor::Tensor> out = tensor::fusion::RunStep(
-      site_, variant, {x, h}, {}, [&]() -> std::vector<tensor::Tensor> {
-        return {tensor::Tanh(tensor::Add(
-            tensor::Add(tensor::MatMul(x, wx), tensor::MatMul(h, wh)), b_))};
-      });
-  return std::move(out[0]);
+  const tensor::Shape state_shape{x.rows(), hidden_dim_};
+  // Shape mismatches take the tensor-op body, whose ops report them.
+  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
+      x.cols() == input_dim_ && h.shape() == state_shape) {
+    tensor::Tensor out = tensor::detail::MakeInferencePooled(state_shape);
+    ForwardRows(x.data(), h.data(), delta_t, delta_d, out.data(), x.rows());
+    return out;
+  }
+  const tensor::Tensor& wx = w_x_[static_cast<size_t>(DistanceBucket(delta_d))];
+  const tensor::Tensor& wh = w_h_[static_cast<size_t>(TimeBucket(delta_t))];
+  return tensor::Tanh(tensor::Add(
+      tensor::Add(tensor::MatMul(x, wx), tensor::MatMul(h, wh)), b_));
+}
+
+void StRnnCell::ForwardRows(const float* x, const float* h_prev,
+                            float delta_t, float delta_d, float* h_out,
+                            int batch) const {
+  RnnForwardRows(x, h_prev,
+                 w_x_[static_cast<size_t>(DistanceBucket(delta_d))].data(),
+                 w_h_[static_cast<size_t>(TimeBucket(delta_t))].data(),
+                 b_.data(), h_out, batch, input_dim_, hidden_dim_);
 }
 
 tensor::Tensor StRnnCell::InitialState(int batch) const {

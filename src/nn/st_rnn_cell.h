@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -31,9 +30,17 @@ class StRnnCell : public Module {
             float max_interval = 4.0f);
 
   /// One step; `delta_t` / `delta_d` are normalized intervals (the same
-  /// scale `poi::FeatureScale` produces).
+  /// scale `poi::FeatureScale` produces). Under inference mode with fusion
+  /// enabled this runs `ForwardRows` into a pooled output; otherwise the
+  /// tensor-op body, which gives the same bits within one kernel table.
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& h,
                          float delta_t, float delta_d) const;
+
+  /// The explicit inference step over raw rows: `RnnForwardRows` with the
+  /// weights of the intervals' bucket pair. h_out may alias h_prev exactly.
+  /// No autograd.
+  void ForwardRows(const float* x, const float* h_prev, float delta_t,
+                   float delta_d, float* h_out, int batch) const;
 
   tensor::Tensor InitialState(int batch) const;
 
@@ -56,10 +63,6 @@ class StRnnCell : public Module {
   std::vector<tensor::Tensor> w_x_;  // One [input, hidden] per d-bucket.
   std::vector<tensor::Tensor> w_h_;  // One [hidden, hidden] per t-bucket.
   tensor::Tensor b_;
-  // One compiled program per (d-bucket, t-bucket) weight pair, selected by
-  // the RunStep `variant` argument — bucketed weights are bound as
-  // constants in the trace, so each pair must compile separately.
-  tensor::fusion::StepSite site_;
 };
 
 }  // namespace pa::nn

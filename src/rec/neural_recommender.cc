@@ -5,7 +5,6 @@
 #include "nn/serialize.h"
 #include "rec/model_io.h"
 #include "rec/ranking.h"
-#include "tensor/compiled_step.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "tensor/buffer_pool.h"
-#include "tensor/compiled_step.h"
 #include "tensor/kernels/kernels.h"
 
 namespace pa::tensor {
@@ -16,12 +15,6 @@ namespace pa::tensor {
 namespace {
 
 using internal::TensorImpl;
-
-// Compiled-step recorder hooks (compiled_step.cc). Each inference fast-path
-// branch reports the op it just executed when a RunStep body is recording;
-// `fu::Recording()` is a thread-local flag check, so the hooks cost nothing
-// on ordinary forwards.
-namespace fu = pa::tensor::fusion::internal;
 
 [[noreturn]] void Fatal(const std::string& msg) {
   std::fprintf(stderr, "pa::tensor::ops fatal: %s\n", msg.c_str());
@@ -64,9 +57,6 @@ Tensor MakeInferenceResult(Shape shape, std::vector<float> data) {
   impl->shape = shape;
   impl->data = std::move(data);
   impl->pooled = true;
-  // Node blocks recycle: a dead recorded value's address may be reborn
-  // here as an unrelated result, so drop any stale SSA mapping first.
-  if (fu::Recording()) fu::NoteFreshResult(impl.get());
   return Tensor::FromImpl(std::move(impl));
 }
 
@@ -172,9 +162,8 @@ bool ReusableTemp(const Tensor& t, bool inference) {
          impl->backward_fn == nullptr;
 }
 
-Tensor BinaryOp(const char* name, fu::OpKind rop, const Tensor& a,
-                const Tensor& b, bool reuse_a, bool reuse_b,
-                const BinaryKernels& bk,
+Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b,
+                bool reuse_a, bool reuse_b, const BinaryKernels& bk,
                 std::function<void(TensorImpl&)> (*make_backward)(
                     std::shared_ptr<TensorImpl>, std::shared_ptr<TensorImpl>,
                     BroadcastKind, int)) {
@@ -186,7 +175,6 @@ Tensor BinaryOp(const char* name, fu::OpKind rop, const Tensor& a,
     if (reuse_a && ReusableTemp(a, true)) {
       BinaryForward(a.data(), b.data(), a.impl()->data.data(), numel, cols,
                     kind, bk);
-      if (fu::Recording()) fu::RecordBinary(rop, a.impl(), b.impl(), a.impl());
       return Tensor::FromImpl(a.impl());
     }
     if (reuse_b && kind == BroadcastKind::kSame && ReusableTemp(b, true)) {
@@ -194,14 +182,11 @@ Tensor BinaryOp(const char* name, fu::OpKind rop, const Tensor& a,
       // matches `b`'s only under kSame).
       BinaryForward(a.data(), b.data(), b.impl()->data.data(), numel, cols,
                     kind, bk);
-      if (fu::Recording()) fu::RecordBinary(rop, a.impl(), b.impl(), b.impl());
       return Tensor::FromImpl(b.impl());
     }
     std::vector<float> out = ForwardBuffer(numel, true);
     BinaryForward(a.data(), b.data(), out.data(), numel, cols, kind, bk);
-    Tensor r = MakeInferenceResult(a.shape(), std::move(out));
-    if (fu::Recording()) fu::RecordBinary(rop, a.impl(), b.impl(), r.impl());
-    return r;
+    return MakeInferenceResult(a.shape(), std::move(out));
   }
   std::vector<float> out = ForwardBuffer(numel, false);
   BinaryForward(a.data(), b.data(), out.data(), numel, cols, kind, bk);
@@ -254,27 +239,27 @@ BinaryKernels MulKernels() {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Add", fu::OpKind::kAdd, a, b, false, false, AddKernels(), AddBackward);
+  return BinaryOp("Add", a, b, false, false, AddKernels(), AddBackward);
 }
 
 Tensor Add(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Add", fu::OpKind::kAdd, a, b, true, false, AddKernels(), AddBackward);
+  return BinaryOp("Add", a, b, true, false, AddKernels(), AddBackward);
 }
 
 Tensor Add(const Tensor& a, Tensor&& b) {
-  return BinaryOp("Add", fu::OpKind::kAdd, a, b, false, true, AddKernels(), AddBackward);
+  return BinaryOp("Add", a, b, false, true, AddKernels(), AddBackward);
 }
 
 Tensor Add(Tensor&& a, Tensor&& b) {
-  return BinaryOp("Add", fu::OpKind::kAdd, a, b, true, true, AddKernels(), AddBackward);
+  return BinaryOp("Add", a, b, true, true, AddKernels(), AddBackward);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Sub", fu::OpKind::kSub, a, b, false, false, SubKernels(), SubBackward);
+  return BinaryOp("Sub", a, b, false, false, SubKernels(), SubBackward);
 }
 
 Tensor Sub(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Sub", fu::OpKind::kSub, a, b, true, false, SubKernels(), SubBackward);
+  return BinaryOp("Sub", a, b, true, false, SubKernels(), SubBackward);
 }
 
 namespace {
@@ -301,19 +286,19 @@ std::function<void(TensorImpl&)> MulBackward(std::shared_ptr<TensorImpl> ai,
 }  // namespace
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Mul", fu::OpKind::kMul, a, b, false, false, MulKernels(), MulBackward);
+  return BinaryOp("Mul", a, b, false, false, MulKernels(), MulBackward);
 }
 
 Tensor Mul(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Mul", fu::OpKind::kMul, a, b, true, false, MulKernels(), MulBackward);
+  return BinaryOp("Mul", a, b, true, false, MulKernels(), MulBackward);
 }
 
 Tensor Mul(const Tensor& a, Tensor&& b) {
-  return BinaryOp("Mul", fu::OpKind::kMul, a, b, false, true, MulKernels(), MulBackward);
+  return BinaryOp("Mul", a, b, false, true, MulKernels(), MulBackward);
 }
 
 Tensor Mul(Tensor&& a, Tensor&& b) {
-  return BinaryOp("Mul", fu::OpKind::kMul, a, b, true, true, MulKernels(), MulBackward);
+  return BinaryOp("Mul", a, b, true, true, MulKernels(), MulBackward);
 }
 
 namespace {
@@ -340,25 +325,15 @@ Tensor LerpOp(const Tensor& mask, const Tensor& a, const Tensor& b,
   if (inference) {
     if (reuse_a && ReusableTemp(a, true)) {
       kt.lerp(mask.data(), a.data(), b.data(), a.impl()->data.data(), numel);
-      if (fu::Recording()) {
-        fu::RecordLerp(mask.impl(), a.impl(), b.impl(), a.impl());
-      }
       return Tensor::FromImpl(a.impl());
     }
     if (reuse_b && ReusableTemp(b, true)) {
       kt.lerp(mask.data(), a.data(), b.data(), b.impl()->data.data(), numel);
-      if (fu::Recording()) {
-        fu::RecordLerp(mask.impl(), a.impl(), b.impl(), b.impl());
-      }
       return Tensor::FromImpl(b.impl());
     }
     std::vector<float> out = ForwardBuffer(numel, true);
     kt.lerp(mask.data(), a.data(), b.data(), out.data(), numel);
-    Tensor r = MakeInferenceResult(a.shape(), std::move(out));
-    if (fu::Recording()) {
-      fu::RecordLerp(mask.impl(), a.impl(), b.impl(), r.impl());
-    }
-    return r;
+    return MakeInferenceResult(a.shape(), std::move(out));
   }
   std::vector<float> out = ForwardBuffer(numel, false);
   kt.lerp(mask.data(), a.data(), b.data(), out.data(), numel);
@@ -391,25 +366,15 @@ Tensor AxpbyOp(const Tensor& a, float alpha, const Tensor& b, float beta,
   if (inference) {
     if (reuse_a && ReusableTemp(a, true)) {
       kt.axpby(a.data(), alpha, b.data(), beta, a.impl()->data.data(), numel);
-      if (fu::Recording()) {
-        fu::RecordAxpby(a.impl(), alpha, b.impl(), beta, a.impl());
-      }
       return Tensor::FromImpl(a.impl());
     }
     if (reuse_b && ReusableTemp(b, true)) {
       kt.axpby(a.data(), alpha, b.data(), beta, b.impl()->data.data(), numel);
-      if (fu::Recording()) {
-        fu::RecordAxpby(a.impl(), alpha, b.impl(), beta, b.impl());
-      }
       return Tensor::FromImpl(b.impl());
     }
     std::vector<float> out = ForwardBuffer(numel, true);
     kt.axpby(a.data(), alpha, b.data(), beta, out.data(), numel);
-    Tensor r = MakeInferenceResult(a.shape(), std::move(out));
-    if (fu::Recording()) {
-      fu::RecordAxpby(a.impl(), alpha, b.impl(), beta, r.impl());
-    }
-    return r;
+    return MakeInferenceResult(a.shape(), std::move(out));
   }
   std::vector<float> out = ForwardBuffer(numel, false);
   kt.axpby(a.data(), alpha, b.data(), beta, out.data(), numel);
@@ -463,9 +428,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const int64_t numel = static_cast<int64_t>(m) * n;
     std::vector<float> out = ZeroedForwardBuffer(numel, true);
     kt.matmul_block(a.data(), b.data(), out.data(), k, n, 0, m, 0, n);
-    Tensor r = MakeInferenceResult({m, n}, std::move(out));
-    if (fu::Recording()) fu::RecordMatMul(a.impl(), b.impl(), r.impl());
-    return r;
+    return MakeInferenceResult({m, n}, std::move(out));
   }
   std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
   kt.matmul_block(a.data(), b.data(), out.data(), k, n, 0, m, 0, n);
@@ -512,7 +475,7 @@ namespace {
 // overloads) lets inference mode overwrite a dying temporary in place via
 // the kernels' exact-aliasing contract — see ReusableTemp.
 template <typename BwdFn>
-Tensor UnaryKernelOp(const Tensor& a, fu::OpKind rop, bool reuse,
+Tensor UnaryKernelOp(const Tensor& a, bool reuse,
                      void (*kernel)(const float*, float*, int64_t),
                      BwdFn bwd_from_in_out) {
   const int64_t numel = a.numel();
@@ -520,16 +483,11 @@ Tensor UnaryKernelOp(const Tensor& a, fu::OpKind rop, bool reuse,
   if (reuse && ReusableTemp(a, inference)) {
     float* d = a.impl()->data.data();
     kernel(d, d, numel);
-    if (fu::Recording()) fu::RecordUnary(rop, a.impl(), a.impl());
     return Tensor::FromImpl(a.impl());
   }
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), out.data(), numel);
-  if (inference) {
-    Tensor r = MakeInferenceResult(a.shape(), std::move(out));
-    if (fu::Recording()) fu::RecordUnary(rop, a.impl(), r.impl());
-    return r;
-  }
+  if (inference) return MakeInferenceResult(a.shape(), std::move(out));
   auto ai = a.impl();
   return MakeResult(a.shape(), std::move(out), {a},
                     [ai, bwd_from_in_out](TensorImpl& y) {
@@ -543,8 +501,7 @@ Tensor UnaryKernelOp(const Tensor& a, fu::OpKind rop, bool reuse,
 // Same shape for the scalar-parameter ops (Scale, AddScalar), which reuse
 // the binary tables' broadcast-scalar kernels.
 template <typename BwdFn>
-Tensor UnaryScalarKernelOp(const Tensor& a, float c, fu::OpKind rop,
-                           bool reuse,
+Tensor UnaryScalarKernelOp(const Tensor& a, float c, bool reuse,
                            void (*kernel)(const float*, float, float*,
                                           int64_t),
                            BwdFn bwd_from_in_out) {
@@ -553,16 +510,11 @@ Tensor UnaryScalarKernelOp(const Tensor& a, float c, fu::OpKind rop,
   if (reuse && ReusableTemp(a, inference)) {
     float* d = a.impl()->data.data();
     kernel(d, c, d, numel);
-    if (fu::Recording()) fu::RecordScalarOp(rop, a.impl(), c, a.impl());
     return Tensor::FromImpl(a.impl());
   }
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), c, out.data(), numel);
-  if (inference) {
-    Tensor r = MakeInferenceResult(a.shape(), std::move(out));
-    if (fu::Recording()) fu::RecordScalarOp(rop, a.impl(), c, r.impl());
-    return r;
-  }
+  if (inference) return MakeInferenceResult(a.shape(), std::move(out));
   auto ai = a.impl();
   return MakeResult(a.shape(), std::move(out), {a},
                     [ai, bwd_from_in_out](TensorImpl& y) {
@@ -574,19 +526,18 @@ Tensor UnaryScalarKernelOp(const Tensor& a, float c, fu::OpKind rop,
 }
 
 Tensor SigmoidOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, fu::OpKind::kSigmoid, reuse,
-                       kernels::Active().sigmoid,
+  return UnaryKernelOp(a, reuse, kernels::Active().sigmoid,
                        [](float /*x*/, float y) { return y * (1.0f - y); });
 }
 
 Tensor TanhOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, fu::OpKind::kTanh, reuse, kernels::Active().tanh,
+  return UnaryKernelOp(a, reuse, kernels::Active().tanh,
                        [](float /*x*/, float y) { return 1.0f - y * y; });
 }
 
 Tensor ReluOp(const Tensor& a, bool reuse) {
   return UnaryKernelOp(
-      a, fu::OpKind::kUnsupported, reuse, kernels::Active().relu,
+      a, reuse, kernels::Active().relu,
       [](float x, float /*y*/) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
@@ -605,14 +556,13 @@ namespace {
 
 Tensor ScaleOp(const Tensor& a, float alpha, bool reuse) {
   return UnaryScalarKernelOp(
-      a, alpha, fu::OpKind::kScale, reuse, kernels::Active().mulc,
+      a, alpha, reuse, kernels::Active().mulc,
       [alpha](float /*x*/, float /*y*/) { return alpha; });
 }
 
 Tensor AddScalarOp(const Tensor& a, float alpha, bool reuse) {
-  return UnaryScalarKernelOp(
-      a, alpha, fu::OpKind::kAddScalar, reuse, kernels::Active().addc,
-      [](float /*x*/, float /*y*/) { return 1.0f; });
+  return UnaryScalarKernelOp(a, alpha, reuse, kernels::Active().addc,
+                             [](float /*x*/, float /*y*/) { return 1.0f; });
 }
 
 }  // namespace
@@ -630,20 +580,17 @@ Tensor AddScalar(Tensor&& a, float alpha) {
 namespace {
 
 Tensor ExpOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, fu::OpKind::kUnsupported, reuse,
-                       kernels::Active().exp,
+  return UnaryKernelOp(a, reuse, kernels::Active().exp,
                        [](float /*x*/, float y) { return y; });
 }
 
 Tensor LogOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, fu::OpKind::kUnsupported, reuse,
-                       kernels::Active().log,
+  return UnaryKernelOp(a, reuse, kernels::Active().log,
                        [](float x, float /*y*/) { return 1.0f / x; });
 }
 
 Tensor SquareOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, fu::OpKind::kUnsupported, reuse,
-                       kernels::Active().square,
+  return UnaryKernelOp(a, reuse, kernels::Active().square,
                        [](float x, float /*y*/) { return 2.0f * x; });
 }
 
@@ -664,10 +611,6 @@ Tensor SoftmaxOp(const Tensor& a, bool reuse) {
   const int m = a.rows(), n = a.cols();
   const bool inference = internal::InferenceModeActive();
   const kernels::KernelTable& kt = kernels::Active();
-  // Not replayable — and the in-place path could silently forward a
-  // recorded temporary's storage, so the trace must be poisoned, not just
-  // left unaware (see compiled_step.h).
-  if (fu::Recording()) fu::RecordUnsupported();
   // The kernel's n <= 0 guard makes a zero-width input a no-op instead of
   // the old out-of-bounds row[0] read.
   if (reuse && ReusableTemp(a, inference)) {
@@ -698,7 +641,6 @@ Tensor LogSoftmaxOp(const Tensor& a, bool reuse) {
   const int m = a.rows(), n = a.cols();
   const bool inference = internal::InferenceModeActive();
   const kernels::KernelTable& kt = kernels::Active();
-  if (fu::Recording()) fu::RecordUnsupported();  // see SoftmaxOp
   if (reuse && ReusableTemp(a, inference)) {
     // The log_softmax kernel stages its exp pass through a private chunk,
     // so exact out==a aliasing is safe here too.
@@ -860,11 +802,7 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
     const float* arow = ad + static_cast<int64_t>(i) * n + start;
     for (int j = 0; j < len; ++j) out[i * len + j] = arow[j];
   }
-  if (inference) {
-    Tensor r = MakeInferenceResult({m, len}, std::move(out));
-    if (fu::Recording()) fu::RecordSlice(a.impl(), start, len, r.impl());
-    return r;
-  }
+  if (inference) return MakeInferenceResult({m, len}, std::move(out));
   auto ai = a.impl();
   return MakeResult({m, len}, std::move(out), {a},
                     [ai, start, len, m, n](TensorImpl& y) {
@@ -979,25 +917,10 @@ Tensor SumRows(const Tensor& a) {
   });
 }
 
-StridedView SliceColsView(const Tensor& a, int start, int len) {
-  if (start < 0 || len < 0 || start + len > a.cols()) {
-    Fatal("SliceColsView: out of range");
-  }
-  return {a.data() + start, a.rows(), len, a.cols()};
-}
-
-StridedView SliceRowsView(const Tensor& a, int start, int len) {
-  if (start < 0 || len < 0 || start + len > a.rows()) {
-    Fatal("SliceRowsView: out of range");
-  }
-  return {a.data() + static_cast<int64_t>(start) * a.cols(), len, a.cols(),
-          a.cols()};
-}
-
 namespace detail {
 
-Tensor MakeInferencePooled(Shape shape, std::vector<float> data) {
-  return MakeInferenceResult(shape, std::move(data));
+Tensor MakeInferencePooled(Shape shape) {
+  return MakeInferenceResult(shape, ForwardBuffer(shape.numel(), true));
 }
 
 }  // namespace detail

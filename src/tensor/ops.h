@@ -118,39 +118,14 @@ Tensor Mean(const Tensor& a);
 /// Per-row sum: `[m, n]` -> `[m, 1]`.
 Tensor SumRows(const Tensor& a);
 
-/// Read-only strided view over a rectangular region of a tensor's storage.
-/// This is the no-copy read path for kernel-level consumers: where
-/// `SliceCols` materializes the slice (an autograd node with its own
-/// buffer), a view is pointer arithmetic over the parent's storage. The
-/// view does not keep the parent alive — it is valid only while the parent
-/// tensor is; take views immediately before the loop that consumes them.
-struct StridedView {
-  const float* data = nullptr;
-  int rows = 0;
-  int cols = 0;
-  int row_stride = 0;  // elements between consecutive rows of the view
-
-  const float* row(int r) const { return data + static_cast<int64_t>(r) * row_stride; }
-  /// True when the viewed elements are one dense block (`rows == 1`, or the
-  /// view spans every column of the parent) — the precondition for handing
-  /// `data` to a flat elementwise kernel as a single `rows*cols` run.
-  bool contiguous() const { return rows <= 1 || row_stride == cols; }
-};
-
-/// View of columns [start, start + len) — every gate slice of a row-vector
-/// state is this, contiguous, with zero copies.
-StridedView SliceColsView(const Tensor& a, int start, int len);
-/// View of rows [start, start + len); always contiguous.
-StridedView SliceRowsView(const Tensor& a, int start, int len);
-
 namespace detail {
 
-/// Wraps a pool-acquired buffer as an inference-mode tensor node (pooled,
-/// no grad, recycled like any fast-path result). An internal hook for the
-/// compiled-step replayer (compiled_step.cc) and the LSTM's explicit
-/// forward (nn/lstm.cc); not for general use, since it bypasses the
-/// autograd layer entirely.
-Tensor MakeInferencePooled(Shape shape, std::vector<float> data);
+/// A new inference-mode tensor node over pool-acquired storage (pooled, no
+/// grad, recycled like any fast-path result) whose contents are
+/// unspecified. An internal hook for the recurrent cells' explicit forwards
+/// (`ForwardRows` in src/nn), which write their outputs straight into it;
+/// not for general use, since it bypasses the autograd layer entirely.
+Tensor MakeInferencePooled(Shape shape);
 
 }  // namespace detail
 

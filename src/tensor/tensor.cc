@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -30,6 +31,19 @@ thread_local int t_inference_depth = 0;
 // Test-only process-wide override; relaxed is enough because it is flipped
 // only while no worker thread is mid-forward (see ScopedInferenceDisable).
 std::atomic<bool> g_inference_disabled{false};
+
+// ScopedFusionDisable nesting depth for this thread.
+thread_local int t_fusion_disable_depth = 0;
+
+bool FusionEnvEnabled() {
+  static const bool on = [] {
+    const char* v = std::getenv("PA_FUSION");
+    if (v == nullptr) return true;
+    return std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0 &&
+           std::strcmp(v, "false") != 0;
+  }();
+  return on;
+}
 
 }  // namespace
 
@@ -59,6 +73,16 @@ InferenceModeScope::InferenceModeScope() { ++t_inference_depth; }
 InferenceModeScope::~InferenceModeScope() { --t_inference_depth; }
 
 bool InferenceModeScope::Active() { return internal::InferenceModeActive(); }
+
+namespace fusion {
+
+bool Enabled() { return t_fusion_disable_depth == 0 && FusionEnvEnabled(); }
+
+ScopedFusionDisable::ScopedFusionDisable() { ++t_fusion_disable_depth; }
+
+ScopedFusionDisable::~ScopedFusionDisable() { --t_fusion_disable_depth; }
+
+}  // namespace fusion
 
 void Tensor::DieUndefined(const char* accessor) {
   Fatal(std::string("Tensor::") + accessor +

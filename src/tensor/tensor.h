@@ -84,6 +84,29 @@ class ScopedInferenceDisable {
 
 }  // namespace internal
 
+namespace fusion {
+
+/// True when the recurrent cells may take their explicit fused forwards
+/// (`ForwardRows`) on this thread: PA_FUSION is not "off"/"0"/"false" (read
+/// once per process; default on) and no ScopedFusionDisable is alive on
+/// this thread. When false, the cells run their tensor-op bodies, which
+/// give the same bits within one kernel table.
+bool Enabled();
+
+/// Test/bench hook: while alive, every cell on this thread runs its
+/// tensor-op body. This is how the equivalence suites and the bench's
+/// unfused arms re-run the reference path in a process whose PA_FUSION
+/// default is on. Scopes nest.
+class ScopedFusionDisable {
+ public:
+  ScopedFusionDisable();
+  ~ScopedFusionDisable();
+  ScopedFusionDisable(const ScopedFusionDisable&) = delete;
+  ScopedFusionDisable& operator=(const ScopedFusionDisable&) = delete;
+};
+
+}  // namespace fusion
+
 /// Value-semantic handle to a node in a dynamically built autograd graph.
 ///
 /// Copies are shallow (they alias the same storage and graph node), which is

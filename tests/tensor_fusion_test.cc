@@ -1,25 +1,23 @@
 // Fusion-layer suite: the fused kernels (add3/lerp/axpby/cell_update/
-// tanh_mul/gate_act), the Lerp/Axpby ops, the strided slice views, the
-// CompiledStep record-and-replay path the RNN, GRU, ST-RNN and ST-CLSTM
-// cells run through, and the LSTM's explicit fused forward.
+// tanh_mul/gate_act), the Lerp/Axpby ops, and the explicit fused forwards
+// (`ForwardRows`) of the RNN, ST-RNN, GRU, LSTM and ST-CLSTM cells.
 //
-// The contracts under test, from kernels.h, compiled_step.h and lstm.h:
+// The contracts under test, from kernels.h and the cell headers:
 //
 //   * Every fused kernel is bit-identical, per table, to the composition of
 //     that same table's primitive kernels it replaces (gate_act/tanh_mul
 //     call the table's own SigmoidK/TanhK, so this holds even for the
 //     expf-based entries).
-//   * A compiled-step replay, and the LSTM's explicit forward at any batch
-//     size, are bit-identical to running the same cell body unfused
+//   * Each cell's explicit forward, at any batch size, is bit-identical to
+//     running the same cell's tensor-op body on the graph-free path
 //     (ScopedFusionDisable) and to the graph-building path
 //     (ScopedInferenceDisable), serial and with PA_THREADS > 1; so is a
-//     served LSTM session stepping its own state in place.
-//   * The per-thread program cache discriminates on input shape and on
-//     StepSite identity, and falls back (never miscompiles) on batch > 1.
+//     `ForwardRows` rollout whose outputs alias its state inputs, and a
+//     served session of every cell.
 //
 // The suite must also pass under PA_FUSION=off (tier1.sh reruns it that
-// way), so every assertion that fusion actually engaged is gated on
-// fusion::Enabled().
+// way): the fused arm then runs the tensor-op body too, so every parity
+// check still holds.
 
 #include <cstdint>
 #include <cstring>
@@ -36,7 +34,6 @@
 #include "nn/st_clstm.h"
 #include "nn/st_rnn_cell.h"
 #include "rec/neural_recommender.h"
-#include "tensor/compiled_step.h"
 #include "tensor/gradcheck.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -105,7 +102,7 @@ TEST(FusedKernelTest, LerpMatchesOneMinusComposition) {
   for (const kernels::KernelTable* kt : AllTables()) {
     std::vector<float> fused(kN), ref(kN), om(kN), t(kN);
     kt->lerp(mask.data(), a.data(), b.data(), fused.data(), kN);
-    // The unfused form the rewriter matches: (mask * -1 + 1) ⊙ b + mask ⊙ a.
+    // The unfused form it replaces: (mask * -1 + 1) ⊙ b + mask ⊙ a.
     kt->mulc(mask.data(), -1.0f, om.data(), kN);
     kt->addc(om.data(), 1.0f, om.data(), kN);
     kt->mul(om.data(), b.data(), om.data(), kN);
@@ -169,7 +166,7 @@ TEST(FusedKernelTest, GateActMatchesPerSliceActivationsAndAliasesInPlace) {
       }
     }
     EXPECT_TRUE(BitEqual(fused, ref)) << kt->name;
-    // Exact aliasing (out == gates) is the form compiled replay emits.
+    // Exact aliasing (out == gates) is the form the cell forwards use.
     std::vector<float> inplace = gates;
     kt->gate_act(inplace.data(), inplace.data(), /*m=*/1, kH, acts, kSlices);
     EXPECT_TRUE(BitEqual(inplace, ref)) << kt->name << " in-place";
@@ -216,41 +213,6 @@ TEST(LerpAxpbyOpTest, GradientsPassFiniteDifferences) {
 }
 
 // ---------------------------------------------------------------------------
-// Strided slice views.
-
-TEST(StridedViewTest, ViewsMatchCopyingSlices) {
-  util::Rng rng(23);
-  Tensor a = tensor::UniformInit({5, 12}, 2.0f, rng);
-  tensor::InferenceModeScope scope;
-
-  tensor::StridedView cols = tensor::SliceColsView(a, 3, 4);
-  Tensor cols_copy = tensor::SliceCols(a, 3, 4);
-  ASSERT_EQ(cols.rows, 5);
-  ASSERT_EQ(cols.cols, 4);
-  EXPECT_FALSE(cols.contiguous());  // 5 rows with row_stride 12 != 4.
-  for (int r = 0; r < cols.rows; ++r) {
-    EXPECT_EQ(std::memcmp(cols.row(r), cols_copy.data() + r * 4,
-                          4 * sizeof(float)),
-              0)
-        << "row " << r;
-  }
-
-  tensor::StridedView rows = tensor::SliceRowsView(a, 1, 3);
-  Tensor rows_copy = tensor::SliceRows(a, 1, 3);
-  ASSERT_EQ(rows.rows, 3);
-  ASSERT_EQ(rows.cols, 12);
-  EXPECT_TRUE(rows.contiguous());
-  EXPECT_EQ(std::memcmp(rows.data, rows_copy.data(), 3 * 12 * sizeof(float)),
-            0);
-
-  // Single-row column slice is contiguous — the case replay reads in place.
-  Tensor one = tensor::UniformInit({1, 8}, 1.0f, rng);
-  tensor::StridedView v = tensor::SliceColsView(one, 2, 5);
-  EXPECT_TRUE(v.contiguous());
-  EXPECT_EQ(v.data, one.data() + 2);
-}
-
-// ---------------------------------------------------------------------------
 // Cell-level fused vs unfused vs graph parity.
 
 std::vector<float> Flat(const Tensor& t) {
@@ -269,32 +231,25 @@ std::vector<float> Rollout(int steps, const StepFn& step) {
   return all;
 }
 
-// Deterministic [1, d] input for step t.
-Tensor StepInput(int d, int t, uint32_t salt) {
-  return Tensor::FromData({1, d},
-                          TestInput(d, salt * 131u + static_cast<uint32_t>(t)));
+// Deterministic [batch, d] input for step t.
+Tensor StepInput(int d, int t, uint32_t salt, int batch = 1) {
+  return Tensor::FromData(
+      {batch, d},
+      TestInput(static_cast<int64_t>(batch) * d,
+                salt * 131u + static_cast<uint32_t>(t)));
 }
 
-// How a cell's fused run executes: compiled replay through RunStep (RNN,
-// GRU, ST-RNN, ST-CLSTM), or the LSTM's explicit forward, which never
-// enters RunStep and so records, replays and falls back on nothing.
-enum class FusedPath { kReplay, kExplicit };
-
-// Three-way parity harness: fused (default inference), unfused
-// (ScopedFusionDisable), and graph (ScopedInferenceDisable) rollouts of the
-// same step function must be bitwise identical. When fusion is enabled a
-// kReplay cell's fused run must have gone through compiled replay; a
-// kExplicit cell must leave the RunStep counters untouched either way.
+// Three-way parity harness: fused (default inference: the cells' explicit
+// forwards), unfused (ScopedFusionDisable: their tensor-op bodies) and graph
+// (ScopedInferenceDisable) rollouts of the same step function must be
+// bitwise identical.
 template <typename RolloutFn>
-void ExpectThreeWayParity(const RolloutFn& run, const char* what,
-                          FusedPath path = FusedPath::kReplay) {
-  const fusion::FusionStats before = fusion::ThisThreadStats();
+void ExpectThreeWayParity(const RolloutFn& run, const std::string& what) {
   std::vector<float> fused;
   {
     tensor::InferenceModeScope scope;
     fused = run();
   }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
   std::vector<float> unfused;
   {
     tensor::InferenceModeScope scope;
@@ -308,19 +263,11 @@ void ExpectThreeWayParity(const RolloutFn& run, const char* what,
   }
   EXPECT_TRUE(BitEqual(fused, unfused)) << what << ": fused vs unfused";
   EXPECT_TRUE(BitEqual(fused, graph)) << what << ": fused vs graph";
-  if (path == FusedPath::kExplicit) {
-    EXPECT_EQ(after.recorded, before.recorded) << what;
-    EXPECT_EQ(after.replayed, before.replayed) << what;
-    EXPECT_EQ(after.fallback, before.fallback) << what;
-  } else if (fusion::Enabled()) {
-    EXPECT_GT(after.recorded, before.recorded) << what;
-    EXPECT_GT(after.replayed, before.replayed) << what;
-  }
 }
 
 constexpr int kSteps = 8;
 
-TEST(CompiledStepTest, LstmThreeWayParity) {
+TEST(FusedCellTest, LstmThreeWayParity) {
   util::Rng rng(31);
   nn::LstmCell cell(12, 16, rng);
   ExpectThreeWayParity(
@@ -334,10 +281,10 @@ TEST(CompiledStepTest, LstmThreeWayParity) {
           return out;
         });
       },
-      "lstm", FusedPath::kExplicit);
+      "lstm");
 }
 
-TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
+TEST(FusedCellTest, LstmZoneoutEvalThreeWayParity) {
   util::Rng rng(32);
   nn::LstmCell cell(10, 12, rng);
   nn::ZoneoutConfig zoneout;
@@ -356,17 +303,17 @@ TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
           return out;
         });
       },
-      "lstm_zoneout_eval", FusedPath::kExplicit);
+      "lstm_zoneout_eval");
 }
 
-TEST(CompiledStepTest, StClstmThreeWayParity) {
+TEST(FusedCellTest, StClstmThreeWayParity) {
   util::Rng rng(33);
   nn::StClstmCell cell(12, 16, rng);
   ExpectThreeWayParity(
       [&] {
         nn::LstmState state = cell.InitialState(1);
         return Rollout(kSteps, [&](int t) {
-          // Vary Δt/Δd per step so scalar discrimination has to bind them.
+          // Δt/Δd change every step.
           state = cell.Forward(StepInput(12, t, 3), state,
                                0.25f + 0.01f * static_cast<float>(t % 7),
                                0.5f + 0.02f * static_cast<float>(t % 5));
@@ -379,7 +326,7 @@ TEST(CompiledStepTest, StClstmThreeWayParity) {
       "st_clstm");
 }
 
-TEST(CompiledStepTest, GruThreeWayParity) {
+TEST(FusedCellTest, GruThreeWayParity) {
   util::Rng rng(34);
   nn::GruCell cell(12, 16, rng);
   ExpectThreeWayParity(
@@ -393,7 +340,7 @@ TEST(CompiledStepTest, GruThreeWayParity) {
       "gru");
 }
 
-TEST(CompiledStepTest, RnnThreeWayParity) {
+TEST(FusedCellTest, RnnThreeWayParity) {
   util::Rng rng(35);
   nn::RnnCell cell(12, 16, rng);
   ExpectThreeWayParity(
@@ -407,13 +354,13 @@ TEST(CompiledStepTest, RnnThreeWayParity) {
       "rnn");
 }
 
-TEST(CompiledStepTest, StRnnThreeWayParityAcrossBucketVariants) {
+TEST(FusedCellTest, StRnnThreeWayParityAcrossBucketVariants) {
   util::Rng rng(36);
   nn::StRnnCell cell(12, 16, rng, /*time_buckets=*/3, /*distance_buckets=*/3);
   ExpectThreeWayParity(
       [&] {
         Tensor h = cell.InitialState(1);
-        // Sweep bucket pairs so several `variant` programs get compiled.
+        // Sweep bucket pairs so every step may pick other weights.
         return Rollout(2 * kSteps, [&](int t) {
           const float dt = 0.5f + 1.2f * static_cast<float>(t % 3);
           const float dd = 0.3f + 1.5f * static_cast<float>(t % 2);
@@ -424,98 +371,159 @@ TEST(CompiledStepTest, StRnnThreeWayParityAcrossBucketVariants) {
       "st_rnn");
 }
 
+// ---------------------------------------------------------------------------
+// All five cells behind one interface, for the checks that sweep them.
+
+enum class CellKind { kRnn, kStRnn, kGru, kLstm, kStClstm };
+constexpr CellKind kAllCells[] = {CellKind::kRnn, CellKind::kStRnn,
+                                  CellKind::kGru, CellKind::kLstm,
+                                  CellKind::kStClstm};
+
+std::string CellName(CellKind kind) {
+  switch (kind) {
+    case CellKind::kRnn:
+      return "rnn";
+    case CellKind::kStRnn:
+      return "st_rnn";
+    case CellKind::kGru:
+      return "gru";
+    case CellKind::kLstm:
+      return "lstm";
+    case CellKind::kStClstm:
+      return "st_clstm";
+  }
+  return "?";
+}
+
+// Interval schedule for the spatio-temporal cells: it walks ST-RNN across
+// its bucket pairs (3 x 3 buckets over [0, 4)) and gives ST-CLSTM another
+// Δt and Δd at every step.
+float DeltaT(int t) { return 0.5f + 1.2f * static_cast<float>(t % 3); }
+float DeltaD(int t) { return 0.3f + 1.5f * static_cast<float>(t % 2); }
+
+// One cell of each kind at the same widths. Both rollouts start from the
+// zero state and return every step's h then c (the RNN family leaves c at
+// zero): `ForwardRollout` steps through Forward, `RowsRollout` through
+// ForwardRows on one raw h/c pair whose outputs alias its inputs, the way a
+// session steps its own state.
+class AllCells {
+ public:
+  AllCells(int input_dim, int hidden, uint64_t seed)
+      : input_dim_(input_dim),
+        hidden_(hidden),
+        rng_(seed),
+        rnn_(input_dim, hidden, rng_),
+        st_rnn_(input_dim, hidden, rng_, /*time_buckets=*/3,
+                /*distance_buckets=*/3),
+        gru_(input_dim, hidden, rng_),
+        lstm_(input_dim, hidden, rng_),
+        st_clstm_(input_dim, hidden, rng_) {}
+
+  std::vector<float> ForwardRollout(CellKind kind, int batch,
+                                    uint32_t salt) const {
+    nn::LstmState s{Tensor::Zeros({batch, hidden_}),
+                    Tensor::Zeros({batch, hidden_})};
+    return Rollout(kSteps, [&](int t) {
+      const Tensor x = StepInput(input_dim_, t, salt, batch);
+      switch (kind) {
+        case CellKind::kRnn:
+          s.h = rnn_.Forward(x, s.h);
+          break;
+        case CellKind::kStRnn:
+          s.h = st_rnn_.Forward(x, s.h, DeltaT(t), DeltaD(t));
+          break;
+        case CellKind::kGru:
+          s.h = gru_.Forward(x, s.h);
+          break;
+        case CellKind::kLstm:
+          s = lstm_.Forward(x, s);
+          break;
+        case CellKind::kStClstm:
+          s = st_clstm_.Forward(x, s, DeltaT(t), DeltaD(t));
+          break;
+      }
+      std::vector<float> out = Flat(s.h);
+      const std::vector<float> c = Flat(s.c);
+      out.insert(out.end(), c.begin(), c.end());
+      return out;
+    });
+  }
+
+  std::vector<float> RowsRollout(CellKind kind, int batch,
+                                 uint32_t salt) const {
+    std::vector<float> h(static_cast<size_t>(batch) * hidden_, 0.0f);
+    std::vector<float> c(h.size(), 0.0f);
+    return Rollout(kSteps, [&](int t) {
+      const Tensor x = StepInput(input_dim_, t, salt, batch);
+      switch (kind) {
+        case CellKind::kRnn:
+          rnn_.ForwardRows(x.data(), h.data(), h.data(), batch);
+          break;
+        case CellKind::kStRnn:
+          st_rnn_.ForwardRows(x.data(), h.data(), DeltaT(t), DeltaD(t),
+                              h.data(), batch);
+          break;
+        case CellKind::kGru:
+          gru_.ForwardRows(x.data(), h.data(), h.data(), batch);
+          break;
+        case CellKind::kLstm:
+          lstm_.ForwardRows(x.data(), h.data(), c.data(), h.data(), c.data(),
+                            batch);
+          break;
+        case CellKind::kStClstm:
+          st_clstm_.ForwardRows(x.data(), h.data(), c.data(), DeltaT(t),
+                                DeltaD(t), h.data(), c.data(), batch);
+          break;
+      }
+      std::vector<float> out = h;
+      out.insert(out.end(), c.begin(), c.end());
+      return out;
+    });
+  }
+
+ private:
+  int input_dim_;
+  int hidden_;
+  util::Rng rng_;
+  nn::RnnCell rnn_;
+  nn::StRnnCell st_rnn_;
+  nn::GruCell gru_;
+  nn::LstmCell lstm_;
+  nn::StClstmCell st_clstm_;
+};
+
+// Batch 3 through every cell: the explicit forwards take any batch, and a
+// ForwardRows rollout stepping one h/c pair in place matches the graph path.
+TEST(FusedCellTest, BatchThreeMatchesGraphPath) {
+  constexpr int kBatch = 3;
+  const AllCells cells(8, 12, 41);
+  for (CellKind kind : kAllCells) {
+    const std::string what = CellName(kind) + "_batch3";
+    ExpectThreeWayParity(
+        [&] { return cells.ForwardRollout(kind, kBatch, 50); }, what);
+    std::vector<float> graph;
+    {
+      tensor::internal::ScopedInferenceDisable disable;
+      graph = cells.ForwardRollout(kind, kBatch, 50);
+    }
+    EXPECT_TRUE(BitEqual(cells.RowsRollout(kind, kBatch, 50), graph))
+        << what << ": in-place rows vs graph";
+  }
+}
+
 // PA_THREADS > 1 at a large hidden size: every path runs each product whole
 // on the calling thread, so the pool size must not move a bit.
-TEST(CompiledStepTest, LstmThreadedParityAtLargeHidden) {
-  util::Rng rng(37);
-  nn::LstmCell cell(64, 160, rng);
+TEST(FusedCellTest, ThreadedParityAtLargeHidden) {
+  const AllCells cells(64, 160, 37);
   util::SetThreadCount(4);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.Forward(StepInput(64, t, 7), state);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm_threaded", FusedPath::kExplicit);
+  for (CellKind kind : kAllCells) {
+    ExpectThreeWayParity([&] { return cells.ForwardRollout(kind, 1, 7); },
+                         CellName(kind) + "_threaded");
+  }
   util::SetThreadCount(0);
 }
 
-// ---------------------------------------------------------------------------
-// Cache behavior: shape keying, batch fallback, site independence.
-
-TEST(CompiledStepTest, BatchGreaterThanOneFallsBackAndStaysCorrect) {
-  util::Rng rng(41);
-  nn::GruCell cell(8, 12, rng);
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  std::vector<float> fast, graph;
-  {
-    tensor::InferenceModeScope scope;
-    Tensor h = Tensor::Zeros({3, 12});
-    for (int t = 0; t < 4; ++t) {
-      h = cell.Forward(Tensor::FromData({3, 8}, TestInput(24, 50 + t)), h);
-    }
-    fast = Flat(h);
-  }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  {
-    tensor::internal::ScopedInferenceDisable disable;
-    Tensor h = Tensor::Zeros({3, 12});
-    for (int t = 0; t < 4; ++t) {
-      h = cell.Forward(Tensor::FromData({3, 8}, TestInput(24, 50 + t)), h);
-    }
-    graph = Flat(h);
-  }
-  EXPECT_TRUE(BitEqual(fast, graph));
-  if (fusion::Enabled()) {
-    // Batched steps must not record or replay — rows == 1 is the contract.
-    EXPECT_EQ(after.recorded, before.recorded);
-    EXPECT_EQ(after.replayed, before.replayed);
-    EXPECT_GT(after.fallback, before.fallback);
-  }
-}
-
-TEST(CompiledStepTest, ShapeChangeCompilesSeparatePrograms) {
-  // One site, driven directly, with two different input widths: each shape
-  // must get its own cached program and replay correctly.
-  fusion::StepSite site;
-  util::Rng rng(42);
-  Tensor w8 = tensor::UniformInit({8, 8}, 0.5f, rng);
-  Tensor w16 = tensor::UniformInit({16, 16}, 0.5f, rng);
-  auto step = [&](const Tensor& x) {
-    const Tensor& w = x.cols() == 8 ? w8 : w16;
-    std::vector<Tensor> out = fusion::RunStep(
-        site, /*variant=*/0, {x}, {}, [&]() -> std::vector<Tensor> {
-          return {tensor::Tanh(tensor::MatMul(x, w))};
-        });
-    return std::move(out[0]);
-  };
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  tensor::InferenceModeScope scope;
-  std::vector<std::vector<float>> got;
-  for (int round = 0; round < 4; ++round) {
-    for (int width : {8, 16}) {
-      got.push_back(
-          Flat(step(Tensor::FromData({1, width}, TestInput(width, 60)))));
-    }
-  }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  // Same input every round: rounds 1..3 must reproduce round 0 exactly.
-  for (size_t i = 2; i < got.size(); ++i) {
-    EXPECT_TRUE(BitEqual(got[i], got[i % 2])) << "round output " << i;
-  }
-  if (fusion::Enabled()) {
-    // Two shapes -> (at least) two recorded traces and replays for both.
-    EXPECT_GE(after.recorded - before.recorded, 2u);
-    EXPECT_GE(after.replayed - before.replayed, 2u);
-  }
-}
-
-TEST(CompiledStepTest, DistinctCellInstancesDoNotShareAnything) {
+TEST(FusedCellTest, DistinctCellInstancesDoNotShareAnything) {
   util::Rng rng_a(43), rng_b(44);
   nn::RnnCell cell_a(6, 10, rng_a);
   nn::RnnCell cell_b(6, 10, rng_b);  // Different weights, same shapes.
@@ -529,7 +537,7 @@ TEST(CompiledStepTest, DistinctCellInstancesDoNotShareAnything) {
   std::vector<float> a_fused, b_fused, a_ref, b_ref;
   {
     tensor::InferenceModeScope scope;
-    // Interleave the two cells so a shared/stale program would cross wires.
+    // Interleave the two cells so a shared scratch would cross wires.
     for (int round = 0; round < 2; ++round) {
       a_fused = roll(cell_a, 70);
       b_fused = roll(cell_b, 71);
@@ -561,11 +569,11 @@ TEST(FusionEnabledTest, ScopedDisableTogglesEnabledOnThisThread) {
 }
 
 // ---------------------------------------------------------------------------
-// PA-Seq2Seq decoder: fused vs unfused decode-only entry points.
+// PA-Seq2Seq decoder: fused vs unfused vs graph decode-only entry points.
 
 constexpr int64_t kHour = 3600;
 
-TEST(CompiledStepTest, PaSeq2SeqDecodeParity) {
+TEST(FusedCellTest, PaSeq2SeqDecodeParity) {
   poi::PoiTable pois = [] {
     std::vector<geo::LatLng> coords;
     for (int i = 0; i < 6; ++i) {
@@ -596,115 +604,90 @@ TEST(CompiledStepTest, PaSeq2SeqDecodeParity) {
   }
   const int64_t next_ts = 12 * 3 * kHour;
 
-  const fusion::FusionStats before = fusion::ThisThreadStats();
   const auto rank_fused = model.RankNext(history, next_ts, 6);
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  std::vector<int32_t> rank_unfused;
+  std::vector<int32_t> rank_unfused, rank_graph;
   {
     fusion::ScopedFusionDisable no_fusion;
     rank_unfused = model.RankNext(history, next_ts, 6);
   }
+  {
+    tensor::internal::ScopedInferenceDisable graph_mode;
+    rank_graph = model.RankNext(history, next_ts, 6);
+  }
   EXPECT_EQ(rank_fused, rank_unfused);
+  EXPECT_EQ(rank_fused, rank_graph);
   EXPECT_FALSE(rank_fused.empty());
-  // The encoder and decoder are LstmCells: their explicit forward records
-  // nothing and never enters RunStep.
-  EXPECT_EQ(after.recorded, before.recorded);
-  EXPECT_EQ(after.replayed, before.replayed);
-  EXPECT_EQ(after.fallback, before.fallback);
 }
 
 // ---------------------------------------------------------------------------
-// The LSTM's explicit forward beyond one row, and a served LSTM session
-// stepping its own state in place.
+// Served sessions of every cell. LSTM sessions step their own h/c in place
+// through ForwardRows; the other cells step through Forward. Rebuilding a
+// session from its history and ranking must give the same list on the
+// fused, unfused and graph paths, under the scalar and best SIMD tables, at
+// one and four threads. The history's check-ins come at irregular times and
+// places, so the ST cells see real Δt/Δd, and ST-CLSTM's TopK takes its
+// phantom step.
 
-TEST(ExplicitLstmTest, BatchThreeMatchesGraphPath) {
-  constexpr int kBatch = 3, kIn = 12, kHidden = 16;
-  util::Rng rng(38);
-  nn::LstmCell cell(kIn, kHidden, rng);
-  auto input = [](int t) {
-    return Tensor::FromData(
-        {kBatch, kIn}, TestInput(kBatch * kIn, 900u + static_cast<uint32_t>(t)));
-  };
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(kBatch);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.Forward(input(t), state);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm_batch3", FusedPath::kExplicit);
-
-  // ForwardRows stepping one h/c pair in place equals the graph rollout.
-  std::vector<float> h(kBatch * kHidden, 0.0f), c(kBatch * kHidden, 0.0f);
-  for (int t = 0; t < kSteps; ++t) {
-    const Tensor x = input(t);
-    cell.ForwardRows(x.data(), h.data(), c.data(), h.data(), c.data(), kBatch);
-  }
-  tensor::internal::ScopedInferenceDisable graph_mode;
-  nn::LstmState state = cell.InitialState(kBatch);
-  for (int t = 0; t < kSteps; ++t) state = cell.Forward(input(t), state);
-  EXPECT_TRUE(BitEqual(h, Flat(state.h)));
-  EXPECT_TRUE(BitEqual(c, Flat(state.c)));
-}
-
-TEST(ExplicitLstmTest, ServedSessionRebuildMatchesStepPath) {
-  // A [1, 24] x [24, 3000] projection, checked at one and four threads.
+TEST(FusedCellTest, ServedSessionRebuildMatchesStepPath) {
+  // A [1, 24] x [24, 3000] projection.
   constexpr int kPois = 3000;
   std::vector<geo::LatLng> coords;
   for (int i = 0; i < kPois; ++i) {
     coords.push_back({40.0 + 0.001 * (i % 60), -100.0 + 0.001 * (i / 60)});
   }
   const poi::PoiTable pois(std::move(coords));
-  rec::NeuralRecConfig config;
-  config.cell = rec::NeuralRecConfig::Cell::kLstm;
-  config.epochs = 1;
-  rec::NeuralRecommender model(config);
   std::vector<poi::CheckinSequence> train(4);
   for (int u = 0; u < 4; ++u) {
     for (int i = 0; i < 24; ++i) {
       train[u].push_back({u, (u * 37 + i * 11) % kPois, i * 3 * kHour, false});
     }
   }
-  model.Fit(train, pois);
-
   poi::CheckinSequence history;
+  int64_t ts = 0;
   for (int i = 0; i < 64; ++i) {
-    history.push_back({9, (i * i * 7 + i) % kPois, i * 2 * kHour, false});
+    ts += kHour + (i * i % 7) * 1200;
+    history.push_back({9, (i * i * 7 + i) % kPois, ts, false});
   }
-  const int64_t next_ts = 64 * 2 * kHour;
-  auto rebuild_and_rank = [&] {
-    std::unique_ptr<rec::RecSession> session = model.NewSession(9);
-    for (const poi::Checkin& c : history) session->Observe(c);
-    return session->TopK(kPois, next_ts);
-  };
+  const int64_t next_ts = ts + 5 * kHour;
 
-  for (const kernels::KernelTable* table :
-       {&kernels::ScalarTable(), &kernels::BestSimdTable()}) {
-    kernels::SetDispatchOverride(table);
-    std::vector<int32_t> first;
-    for (int threads : {1, 4}) {
-      util::SetThreadCount(threads);
-      const std::string what =
-          std::string(table->name) + " threads=" + std::to_string(threads);
-      const std::vector<int32_t> in_place = rebuild_and_rank();
-      std::vector<int32_t> unfused, graph;
-      {
-        fusion::ScopedFusionDisable no_fusion;
-        unfused = rebuild_and_rank();
+  using Cell = rec::NeuralRecConfig::Cell;
+  for (Cell cell : {Cell::kRnn, Cell::kStRnn, Cell::kGru, Cell::kLstm,
+                    Cell::kStClstm}) {
+    rec::NeuralRecConfig config;
+    config.cell = cell;
+    config.epochs = 1;
+    rec::NeuralRecommender model(config);
+    model.Fit(train, pois);
+    auto rebuild_and_rank = [&] {
+      std::unique_ptr<rec::RecSession> session = model.NewSession(9);
+      for (const poi::Checkin& c : history) session->Observe(c);
+      return session->TopK(kPois, next_ts);
+    };
+
+    for (const kernels::KernelTable* table :
+         {&kernels::ScalarTable(), &kernels::BestSimdTable()}) {
+      kernels::SetDispatchOverride(table);
+      std::vector<int32_t> first;
+      for (int threads : {1, 4}) {
+        util::SetThreadCount(threads);
+        const std::string what = model.name() + " " + table->name +
+                                 " threads=" + std::to_string(threads);
+        const std::vector<int32_t> fused = rebuild_and_rank();
+        std::vector<int32_t> unfused, graph;
+        {
+          fusion::ScopedFusionDisable no_fusion;
+          unfused = rebuild_and_rank();
+        }
+        {
+          tensor::internal::ScopedInferenceDisable graph_mode;
+          graph = rebuild_and_rank();
+        }
+        EXPECT_EQ(fused.size(), static_cast<size_t>(kPois)) << what;
+        EXPECT_EQ(fused, unfused) << what;
+        EXPECT_EQ(fused, graph) << what;
+        if (first.empty()) first = fused;
+        EXPECT_EQ(fused, first) << what << " vs threads=1";
       }
-      {
-        tensor::internal::ScopedInferenceDisable graph_mode;
-        graph = rebuild_and_rank();
-      }
-      EXPECT_EQ(in_place.size(), static_cast<size_t>(kPois)) << what;
-      EXPECT_EQ(in_place, unfused) << what;
-      EXPECT_EQ(in_place, graph) << what;
-      if (first.empty()) first = in_place;
-      EXPECT_EQ(in_place, first) << what << " vs threads=1";
     }
   }
   util::SetThreadCount(0);
