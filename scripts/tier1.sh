@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite (with the
-# kernel-dispatch tests rerun under both PA_SIMD extremes), the serving
-# smokes and a short repository-benchmark run, then a
+# kernel-dispatch tests rerun under both PA_SIMD extremes), a diff of both
+# table benches' smoke CSVs against bench/golden/, the serving smokes and a
+# short repository-benchmark run, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # cross-thread determinism, parallel eval/training paths, the NDJSON TCP
 # front-end and the sharded serving router), then an
@@ -35,6 +36,22 @@ done
 # tensor-op step path intact.
 PA_FUSION=off ctest --test-dir build --output-on-failure \
   -R 'tensor_fusion_test|inference_equivalence_test|rec_neural_test|serve_session_store_test'
+
+# Golden smoke tables: the CSV block each table bench prints under --smoke
+# must match its file in bench/golden/ byte for byte (the wall time prints
+# after the block). The blocks are the same under every kernel table and
+# thread count, so they are diffed under both PA_SIMD extremes; a change
+# that moves a number fails here until its golden file moves with it.
+for simd in scalar auto; do
+  for table in table1_gowalla table2_brightkite; do
+    PA_SIMD=$simd "build/bench/bench_$table" --smoke 2>/dev/null \
+      | awk '/^CSV:$/ {on = 1; next} /^$/ {on = 0} on' \
+      | diff -u "bench/golden/${table}_smoke.csv" - \
+      || { echo "bench_$table --smoke under PA_SIMD=$simd differs from" \
+             "bench/golden/${table}_smoke.csv" >&2; exit 1; }
+  done
+done
+echo "golden smoke tables: OK"
 
 # Inference fast-path smoke: the bench binary in --smoke mode checks
 # bit-identity between the graph and graph-free forward paths (skipping the
@@ -350,13 +367,16 @@ ctest --test-dir build-tsan --output-on-failure \
 # kernel suite runs under both PA_SIMD extremes here too, and the fusion
 # suite rides along because the cells' explicit forwards hand raw column
 # offsets and scratch layouts (gate blocks inside one row, matmul_block
-# column ranges) straight to the kernels.
+# column ranges) straight to the kernels. The PA-Seq2Seq imputation suites
+# ride along because Impute and ImputeBeam decode through pointers and
+# indices into candidate-set tables that live for one call.
 cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
-  serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test
+  serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test \
+  augment_pa_seq2seq_test augment_extensions_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <unordered_map>
 #include <cmath>
@@ -219,7 +221,7 @@ tensor::Tensor PaSeq2Seq::Decode(
       const int slot = target_slot[t];
       const std::vector<int32_t>& cands =
           (slot >= 0 && slot < static_cast<int>(item.candidates.size()))
-              ? item.candidates[static_cast<size_t>(slot)]
+              ? *item.candidates[static_cast<size_t>(slot)]
               : kAllPois;
       predicted[t] = ArgmaxRow(logits, cands);
       if (rankings != nullptr) {
@@ -540,76 +542,105 @@ void PaSeq2Seq::Fit(const std::vector<poi::CheckinSequence>& train) {
   }
 }
 
+struct PaSeq2Seq::ImputeInputs {
+  /// Per slot: the observed POI id, or `mc` at a missing slot.
+  std::vector<int> tokens;
+  /// Per slot: Δt from slot timestamps; Δd only between two observed slots.
+  std::vector<poi::StepFeatures> feats;
+  /// Per missing slot: index into `candidate_sets`; -1 at observed slots.
+  std::vector<int> candidate_set;
+  /// One localized-region candidate set per distinct (previous, next)
+  /// observed bracket pair: ids sorted ascending, empty = all POIs.
+  std::vector<std::vector<int32_t>> candidate_sets;
+  /// The answer for a missing slot decoding never reaches (a missing first
+  /// slot), as LinearInterpolationAugmenter falls back.
+  int32_t fallback = 0;
+};
+
+PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
+    const MaskedSequence& masked) const {
+  const auto& timeline = masked.timeline;
+  const int n = static_cast<int>(timeline.size());
+  ImputeInputs in;
+  in.tokens.resize(n);
+  in.feats.resize(n);
+  in.candidate_set.assign(n, -1);
+  in.fallback = masked.observed.empty() ? 0 : masked.observed.front().poi;
+
+  for (int t = 0; t < n; ++t) {
+    in.tokens[t] = timeline[t].missing()
+                       ? missing_token()
+                       : masked.observed[static_cast<size_t>(
+                                             timeline[t].observed_index)]
+                             .poi;
+    if (t > 0) {
+      const double hours = static_cast<double>(timeline[t].timestamp -
+                                                timeline[t - 1].timestamp) /
+                           3600.0;
+      in.feats[t].delta_t = static_cast<float>(
+          std::min(hours / config_.feature_scale.hours_scale, 10.0));
+      if (in.tokens[t] != missing_token() &&
+          in.tokens[t - 1] != missing_token()) {
+        const double km = pois_.DistanceKm(in.tokens[t - 1], in.tokens[t]);
+        in.feats[t].delta_d = static_cast<float>(
+            std::min(km / config_.feature_scale.km_scale, 10.0));
+      }
+    }
+  }
+
+  // Localized-region candidate sets (see PaSeq2SeqConfig comment): a missing
+  // slot ranks the POIs within `candidate_radius_km` of either observed
+  // check-in bracketing it. Every slot between the same two brackets shares
+  // one set, the union of the brackets' radius lists, each of which is
+  // queried and sorted by id once per call.
+  std::vector<int32_t> next_obs(n, -1);
+  for (int t = n - 1, nxt = -1; t >= 0; --t) {
+    if (!timeline[t].missing()) nxt = in.tokens[t];
+    next_obs[t] = nxt;
+  }
+  std::unordered_map<int32_t, std::vector<int32_t>> radius_lists;
+  auto pois_near = [&](int32_t poi) -> const std::vector<int32_t>& {
+    static const std::vector<int32_t> kNone;
+    if (poi < 0 || config_.candidate_radius_km <= 0.0) return kNone;
+    auto [it, fresh] = radius_lists.try_emplace(poi);
+    std::vector<int32_t>& ids = it->second;
+    if (fresh) {
+      for (const auto& nb : pois_.SpatialIndex().WithinRadius(
+               pois_.coord(poi), config_.candidate_radius_km)) {
+        ids.push_back(nb.id);
+      }
+      std::sort(ids.begin(), ids.end());  // The index holds each POI once.
+    }
+    return ids;
+  };
+  std::map<std::pair<int32_t, int32_t>, int> set_of_brackets;
+  for (int t = 0, prev = -1; t < n; ++t) {
+    if (!timeline[t].missing()) {
+      prev = in.tokens[t];
+      continue;
+    }
+    const auto [it, fresh] = set_of_brackets.try_emplace(
+        {prev, next_obs[t]}, static_cast<int>(in.candidate_sets.size()));
+    if (fresh) {
+      const std::vector<int32_t>& a = pois_near(prev);
+      const std::vector<int32_t>& b = pois_near(next_obs[t]);
+      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                     std::back_inserter(in.candidate_sets.emplace_back()));
+    }
+    in.candidate_set[t] = it->second;
+  }
+  return in;
+}
+
 std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
   // Decode-only entry point: no Backward() ever runs on these forwards.
   // (Decode itself is shared with training and must NOT scope itself.)
   const tensor::InferenceModeScope inference;
   const auto& timeline = masked.timeline;
   const int n = static_cast<int>(timeline.size());
-  std::vector<int32_t> result;
   const int total_missing = poi::CountMissing(timeline);
-  if (total_missing == 0) return result;
-  result.reserve(static_cast<size_t>(total_missing));
-
-  // Tokens and features over the full timeline. Δt comes from slot
-  // timestamps; Δd is defined only between two observed slots.
-  std::vector<int> tokens(n);
-  std::vector<poi::StepFeatures> feats(n);
-  for (int t = 0; t < n; ++t) {
-    tokens[t] = timeline[t].missing()
-                    ? missing_token()
-                    : masked.observed[static_cast<size_t>(
-                                          timeline[t].observed_index)]
-                          .poi;
-    if (t > 0) {
-      const double hours = static_cast<double>(timeline[t].timestamp -
-                                                timeline[t - 1].timestamp) /
-                           3600.0;
-      feats[t].delta_t = static_cast<float>(
-          std::min(hours / config_.feature_scale.hours_scale, 10.0));
-      if (tokens[t] != missing_token() && tokens[t - 1] != missing_token()) {
-        const double km = pois_.DistanceKm(tokens[t - 1], tokens[t]);
-        feats[t].delta_d = static_cast<float>(
-            std::min(km / config_.feature_scale.km_scale, 10.0));
-      }
-    }
-  }
-
-  // Localized-region candidate sets (see PaSeq2SeqConfig comment): for each
-  // missing position, POIs within `candidate_radius_km` of either observed
-  // bracket POI.
-  std::vector<int32_t> prev_obs(n, -1), next_obs(n, -1);
-  for (int t = 0, last = -1; t < n; ++t) {
-    if (!timeline[t].missing()) last = tokens[t];
-    prev_obs[t] = last;
-  }
-  for (int t = n - 1, nxt = -1; t >= 0; --t) {
-    if (!timeline[t].missing()) nxt = tokens[t];
-    next_obs[t] = nxt;
-  }
-  std::unordered_map<int32_t, std::vector<int32_t>> radius_cache;
-  auto pois_near = [&](int32_t poi) -> const std::vector<int32_t>& {
-    auto it = radius_cache.find(poi);
-    if (it != radius_cache.end()) return it->second;
-    std::vector<int32_t> ids;
-    for (const auto& nb : pois_.SpatialIndex().WithinRadius(
-             pois_.coord(poi), config_.candidate_radius_km)) {
-      ids.push_back(nb.id);
-    }
-    return radius_cache.emplace(poi, std::move(ids)).first->second;
-  };
-  auto candidates_for = [&](int t) {
-    std::vector<int32_t> cands;
-    if (config_.candidate_radius_km <= 0.0) return cands;
-    for (int32_t bracket : {prev_obs[t], next_obs[t]}) {
-      if (bracket < 0) continue;
-      const auto& near = pois_near(bracket);
-      cands.insert(cands.end(), near.begin(), near.end());
-    }
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    return cands;
-  };
+  if (total_missing == 0) return {};
+  const ImputeInputs in = PrepareImpute(masked);
 
   // Decode in overlapping chunks; a position's prediction is taken from the
   // chunk where it sits past the leading overlap (except in the first).
@@ -621,13 +652,13 @@ std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
   while (begin < n) {
     const int end = std::min(n, begin + chunk);
     WorkItem item;
-    item.enc_tokens.assign(tokens.begin() + begin, tokens.begin() + end);
-    item.feats.assign(feats.begin() + begin, feats.begin() + end);
+    item.enc_tokens.assign(in.tokens.begin() + begin, in.tokens.begin() + end);
+    item.feats.assign(in.feats.begin() + begin, in.feats.begin() + end);
     const int fresh_from = begin == 0 ? 0 : begin + overlap;
     for (int t = begin; t < end; ++t) {
       if (timeline[t].missing() && predicted[t] < 0 && t >= fresh_from) {
         item.target_positions.push_back(t - begin);
-        item.candidates.push_back(candidates_for(t));
+        item.candidates.push_back(&in.candidate_sets[in.candidate_set[t]]);
       }
     }
     // Earlier predictions inside the overlap feed back as decoder inputs.
@@ -647,9 +678,11 @@ std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
     begin = end - overlap;
   }
 
+  std::vector<int32_t> result;
+  result.reserve(static_cast<size_t>(total_missing));
   for (int t = 0; t < n; ++t) {
     if (timeline[t].missing()) {
-      result.push_back(predicted[t] >= 0 ? predicted[t] : tokens[0]);
+      result.push_back(predicted[t] >= 0 ? predicted[t] : in.fallback);
     }
   }
   return result;
@@ -683,13 +716,13 @@ std::vector<int32_t> PaSeq2Seq::RankNext(const poi::CheckinSequence& history,
   item.target_positions.push_back(n - 1);
   item.top_k = k;
 
+  std::vector<int32_t> cands;
   if (config_.candidate_radius_km > 0.0) {
-    std::vector<int32_t> cands;
     for (const auto& nb : pois_.SpatialIndex().WithinRadius(
              pois_.coord(recent.back().poi), config_.candidate_radius_km)) {
       cands.push_back(nb.id);
     }
-    item.candidates.push_back(std::move(cands));
+    item.candidates.push_back(&cands);
   }
 
   std::vector<std::vector<int32_t>> rankings;
@@ -715,60 +748,14 @@ std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
   const int total_missing = poi::CountMissing(timeline);
   if (total_missing == 0) return {};
   beam_width = std::max(1, beam_width);
-
-  // Tokens, features and per-position candidate sets (same construction as
-  // greedy Impute, single pass over the full timeline).
-  std::vector<int> tokens(n);
-  std::vector<poi::StepFeatures> feats(n);
-  for (int t = 0; t < n; ++t) {
-    tokens[t] = timeline[t].missing()
-                    ? missing_token()
-                    : masked.observed[static_cast<size_t>(
-                                          timeline[t].observed_index)]
-                          .poi;
-    if (t > 0) {
-      const double hours = static_cast<double>(timeline[t].timestamp -
-                                                timeline[t - 1].timestamp) /
-                           3600.0;
-      feats[t].delta_t = static_cast<float>(
-          std::min(hours / config_.feature_scale.hours_scale, 10.0));
-      if (tokens[t] != missing_token() && tokens[t - 1] != missing_token()) {
-        const double km = pois_.DistanceKm(tokens[t - 1], tokens[t]);
-        feats[t].delta_d = static_cast<float>(
-            std::min(km / config_.feature_scale.km_scale, 10.0));
-      }
-    }
-  }
-  std::vector<int32_t> prev_obs(n, -1), next_obs(n, -1);
-  for (int t = 0, last = -1; t < n; ++t) {
-    if (!timeline[t].missing()) last = tokens[t];
-    prev_obs[t] = last;
-  }
-  for (int t = n - 1, nxt = -1; t >= 0; --t) {
-    if (!timeline[t].missing()) nxt = tokens[t];
-    next_obs[t] = nxt;
-  }
-  auto candidates_for = [&](int t) {
-    std::vector<int32_t> cands;
-    if (config_.candidate_radius_km <= 0.0) return cands;
-    for (int32_t bracket : {prev_obs[t], next_obs[t]}) {
-      if (bracket < 0) continue;
-      for (const auto& nb : pois_.SpatialIndex().WithinRadius(
-               pois_.coord(bracket), config_.candidate_radius_km)) {
-        cands.push_back(nb.id);
-      }
-    }
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    return cands;
-  };
+  const ImputeInputs in = PrepareImpute(masked);
 
   // Encoder, once.
   std::vector<Tensor> xs(n);
   for (int t = 0; t < n; ++t) {
-    Tensor emb = embedding_.Forward({tokens[t]});
+    Tensor emb = embedding_.Forward({in.tokens[t]});
     Tensor feat =
-        Tensor::FromData({1, 2}, {feats[t].delta_t, feats[t].delta_d});
+        Tensor::FromData({1, 2}, {in.feats[t].delta_t, in.feats[t].delta_d});
     xs[t] = tensor::ConcatCols({emb, feat});
   }
   nn::LstmState enc_final;
@@ -790,13 +777,13 @@ std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
     std::vector<Beam> advanced;
     advanced.reserve(beams.size());
     for (Beam& beam : beams) {
-      int prev = tokens[t - 1];
+      int prev = in.tokens[t - 1];
       if (prev == missing_token() && beam.predicted[t - 1] >= 0) {
         prev = beam.predicted[t - 1];
       }
       Tensor emb = embedding_.Forward({prev});
       Tensor feat =
-          Tensor::FromData({1, 2}, {feats[t].delta_t, feats[t].delta_d});
+          Tensor::FromData({1, 2}, {in.feats[t].delta_t, in.feats[t].delta_d});
       Tensor x = tensor::ConcatCols({emb, feat});
       Beam next = beam;
       next.s1 = dec_bottom_.ForwardZoneout(x, beam.s1, zoneout,
@@ -819,7 +806,7 @@ std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
     }
 
     // Expand each beam with its top-width candidates for this slot.
-    const std::vector<int32_t> cands = candidates_for(t);
+    const std::vector<int32_t>& cands = in.candidate_sets[in.candidate_set[t]];
     std::vector<Beam> expanded;
     for (Beam& beam : advanced) {
       Tensor hidden = beam.s2.h;
@@ -852,7 +839,7 @@ std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
   for (int t = 0; t < n; ++t) {
     if (timeline[t].missing()) {
       result.push_back(best.predicted[t] >= 0 ? best.predicted[t]
-                                              : tokens[0]);
+                                              : in.fallback);
     }
   }
   return result;

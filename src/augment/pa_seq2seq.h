@@ -169,8 +169,9 @@ class PaSeq2Seq : public Augmenter {
     /// Positions whose prediction participates in the loss / output.
     std::vector<int> target_positions;
     /// Inference only: per target position, the candidate POI ids the
-    /// argmax may pick from (empty inner vector = all POIs).
-    std::vector<std::vector<int32_t>> candidates;
+    /// argmax may pick from (an empty set = all POIs). The sets belong to
+    /// the caller and must outlive the Decode call.
+    std::vector<const std::vector<int32_t>*> candidates;
     /// Inference only: ranking depth for `rankings` (see Decode).
     int top_k = 1;
   };
@@ -189,6 +190,11 @@ class PaSeq2Seq : public Augmenter {
                         std::vector<int>* predictions,
                         std::vector<std::vector<int32_t>>* rankings = nullptr,
                         util::Rng* rng = nullptr) const;
+
+  /// What Impute and ImputeBeam decode from, built once per call; defined
+  /// in the .cc file.
+  struct ImputeInputs;
+  ImputeInputs PrepareImpute(const MaskedSequence& masked) const;
 
   /// Decoder-only language-model loss (stage 1a). `rng` as in Decode.
   tensor::Tensor DecoderLmLoss(const WorkItem& item,

@@ -117,6 +117,29 @@ TEST(PaSeq2SeqTest, ImputeReturnsOneValuePerMissingSlot) {
   }
 }
 
+TEST(PaSeq2SeqTest, MissingFirstSlotImputesARealPoi) {
+  // Decoding starts at slot 1, so a missing first slot is never predicted;
+  // its answer must still be a POI id, never the missing token.
+  poi::PoiTable pois = CyclePois();
+  MaskedSequence masked;
+  masked.observed = {{0, 4, 3 * kHour, false}, {0, 2, 9 * kHour, false}};
+  masked.timeline = {{0, -1}, {3 * kHour, 0}, {6 * kHour, -1},
+                     {9 * kHour, 1}};
+  for (double radius_km : {0.0, 20.0}) {
+    PaSeq2SeqConfig config = FastConfig();
+    config.candidate_radius_km = radius_km;
+    PaSeq2Seq model(pois, config);
+    for (const std::vector<int32_t>& imputed :
+         {model.Impute(masked), model.ImputeBeam(masked, 3)}) {
+      ASSERT_EQ(imputed.size(), 2u);
+      for (int32_t poi_id : imputed) {
+        EXPECT_GE(poi_id, 0) << "radius " << radius_km;
+        EXPECT_LT(poi_id, pois.size()) << "radius " << radius_km;
+      }
+    }
+  }
+}
+
 TEST(PaSeq2SeqTest, CandidateRestrictionKeepsImputationsLocal) {
   // Two far-apart clusters; all observations in cluster A. With the
   // localized-candidate radius on, imputations must stay in cluster A.

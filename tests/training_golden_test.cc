@@ -3,7 +3,10 @@
 // with committed constants. Any change to the numerics of training (the
 // forward kernels, a backward closure, the graph walk's visit order, the
 // optimizer, the mini-batch merge) moves a hash and fails here, so a change
-// that claims to keep training bit for bit has to prove it.
+// that claims to keep training bit for bit has to prove it. The fitted
+// PA-Seq2Seq then imputes every user's ground-truth masked timeline, greedy
+// and by beam search, and those POI ids are pinned the same way: a change
+// to decoding or to the localized-region candidate sets fails here too.
 //
 // There is one set of constants for the scalar table and one for the SIMD
 // tables, which share every bit (kernels.h). The test selects each table
@@ -25,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "augment/imputation_eval.h"
 #include "augment/pa_seq2seq.h"
 #include "poi/synthetic.h"
 #include "rec/neural_recommender.h"
@@ -40,12 +44,16 @@ struct GoldenHashes {
   uint64_t lstm_recommender;
   uint64_t pa_seq2seq;
   uint64_t pa_seq2seq_batch4;
+  uint64_t impute;       // Of the batch_size 1 fit.
+  uint64_t impute_beam;  // Of the batch_size 1 fit, beam width 3.
 };
 
 constexpr GoldenHashes kScalarGolden = {
-    0xe612586d2006dea4ull, 0x231ac1674bac10ecull, 0x42a132280352671dull};
+    0xe612586d2006dea4ull, 0x231ac1674bac10ecull, 0x42a132280352671dull,
+    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull};
 constexpr GoldenHashes kSimdGolden = {
-    0xbb4b68bfc26c633aull, 0xd6c4f3790adffe9aull, 0xd73139c3db531c93ull};
+    0xbb4b68bfc26c633aull, 0xd6c4f3790adffe9aull, 0xd73139c3db531c93ull,
+    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull};
 
 class TrainingGoldenTest : public ::testing::Test {
  protected:
@@ -103,7 +111,15 @@ uint64_t FitLstmRecommender(const poi::SyntheticLbsn& lbsn) {
   return Fnv1a(bytes.data(), bytes.size(), kFnvOffset);
 }
 
-uint64_t FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
+struct PaSeq2SeqHashes {
+  uint64_t params = kFnvOffset;
+  uint64_t impute = kFnvOffset;
+  uint64_t impute_beam = kFnvOffset;
+};
+
+// Every parameter in Parameters() order, then the POI ids Impute and
+// ImputeBeam(masked, 3) return for each user's ground-truth timeline.
+PaSeq2SeqHashes FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
   augment::PaSeq2SeqConfig config;
   config.embedding_dim = 8;
   config.hidden_dim = 16;
@@ -113,14 +129,30 @@ uint64_t FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
   config.stage3_epochs = 2;
   config.max_seq_len = 20;
   config.batch_size = batch_size;
+  // Fit never reads the candidate radius. Near untrained, the model ranks a
+  // city's most popular POI first almost everywhere, so at the default
+  // 15 km nearly every imputation is that POI; at 2 km the candidate sets
+  // decide most argmaxes, and these hashes pin how the sets are built.
+  config.candidate_radius_km = 2.0;
   augment::PaSeq2Seq model(lbsn.observed.pois, config);
   model.Fit(lbsn.observed.sequences);
-  uint64_t hash = kFnvOffset;
+  PaSeq2SeqHashes hashes;
   for (const tensor::Tensor& p : model.Parameters()) {
-    hash = Fnv1a(p.data(), sizeof(float) * static_cast<size_t>(p.numel()),
-                 hash);
+    hashes.params = Fnv1a(
+        p.data(), sizeof(float) * static_cast<size_t>(p.numel()),
+        hashes.params);
   }
-  return hash;
+  for (int32_t u = 0; u < lbsn.observed.num_users(); ++u) {
+    const augment::MaskedSequence masked =
+        augment::MakeGroundTruthMasked(lbsn, u);
+    const std::vector<int32_t> greedy = model.Impute(masked);
+    const std::vector<int32_t> beam = model.ImputeBeam(masked, 3);
+    hashes.impute = Fnv1a(greedy.data(), sizeof(int32_t) * greedy.size(),
+                          hashes.impute);
+    hashes.impute_beam =
+        Fnv1a(beam.data(), sizeof(int32_t) * beam.size(), hashes.impute_beam);
+  }
+  return hashes;
 }
 
 void ExpectGolden(const tensor::kernels::KernelTable& table,
@@ -135,9 +167,14 @@ void ExpectGolden(const tensor::kernels::KernelTable& table,
     const uint64_t lstm = FitLstmRecommender(lbsn);
     EXPECT_EQ(lstm, golden.lstm_recommender)
         << where << "LSTM recommender hash " << Hex(lstm);
-    const uint64_t pa = FitPaSeq2Seq(lbsn, 1);
-    EXPECT_EQ(pa, golden.pa_seq2seq) << where << "PA-Seq2Seq hash " << Hex(pa);
-    const uint64_t pa4 = FitPaSeq2Seq(lbsn, 4);
+    const PaSeq2SeqHashes pa = FitPaSeq2Seq(lbsn, 1);
+    EXPECT_EQ(pa.params, golden.pa_seq2seq)
+        << where << "PA-Seq2Seq hash " << Hex(pa.params);
+    EXPECT_EQ(pa.impute, golden.impute)
+        << where << "Impute hash " << Hex(pa.impute);
+    EXPECT_EQ(pa.impute_beam, golden.impute_beam)
+        << where << "ImputeBeam hash " << Hex(pa.impute_beam);
+    const uint64_t pa4 = FitPaSeq2Seq(lbsn, 4).params;
     EXPECT_EQ(pa4, golden.pa_seq2seq_batch4)
         << where << "PA-Seq2Seq batch_size 4 hash " << Hex(pa4);
   }
