@@ -369,14 +369,18 @@ ctest --test-dir build-tsan --output-on-failure \
 # offsets and scratch layouts (gate blocks inside one row, matmul_block
 # column ranges) straight to the kernels. The PA-Seq2Seq imputation suites
 # ride along because Impute and ImputeBeam decode through pointers and
-# indices into candidate-set tables that live for one call.
+# indices into candidate-set tables and packed projection columns that live
+# for one call, and so does the direct-recommendation suite, whose RankNext
+# hands a raw logits row to the top-k; the R-tree suite checks the radius
+# queries those candidate sets come from.
 cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
   serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test \
-  augment_pa_seq2seq_test augment_extensions_test
+  augment_pa_seq2seq_test augment_extensions_test \
+  rec_pa_seq2seq_direct_test geo_rtree_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
 
@@ -62,48 +65,41 @@ struct TrainInstruments {
   }
 };
 
-// Argmax over a [1, n] logits row, optionally restricted to `candidates`.
-int ArgmaxRow(const Tensor& logits, const std::vector<int32_t>& candidates) {
-  if (candidates.empty()) {
-    int best = 0;
-    float best_v = logits.at(0, 0);
-    for (int j = 1; j < logits.cols(); ++j) {
-      if (logits.at(0, j) > best_v) {
-        best_v = logits.at(0, j);
-        best = j;
-      }
-    }
-    return best;
-  }
-  int best = candidates[0];
-  float best_v = logits.at(0, best);
-  for (int32_t c : candidates) {
-    if (logits.at(0, c) > best_v) {
-      best_v = logits.at(0, c);
-      best = c;
+// Greedy decoding's argmax over `count` candidates, the i-th of which is
+// POI `id(i)` with logit `logit(i)`: the first seeds the best, and a later
+// one replaces it only when its logit compares strictly greater. Ties keep
+// the earlier candidate; a NaN logit never replaces the best, and a NaN
+// first candidate is never replaced.
+template <typename Id, typename Logit>
+int32_t Argmax(int count, const Id& id, const Logit& logit) {
+  int best = 0;
+  float best_v = logit(0);
+  for (int i = 1; i < count; ++i) {
+    if (logit(i) > best_v) {
+      best_v = logit(i);
+      best = i;
     }
   }
-  return best;
+  return id(best);
 }
 
-// Top-k over a [1, n] logits row, optionally restricted to `candidates`;
-// pads from the unrestricted ranking when the candidate set is short.
-std::vector<int32_t> TopKRow(const Tensor& logits,
+// Top-k over a logits row of `n` POIs, optionally restricted to
+// `candidates`; pads from the unrestricted ranking when the candidate set is
+// short.
+std::vector<int32_t> TopKRow(const float* logits, int n,
                              const std::vector<int32_t>& candidates, int k) {
   std::vector<int32_t> pool = candidates;
   if (pool.empty()) {
-    pool.resize(static_cast<size_t>(logits.cols()));
+    pool.resize(static_cast<size_t>(n));
     std::iota(pool.begin(), pool.end(), 0);
   }
-  auto by_logit = [&](int32_t a, int32_t b) {
-    return logits.at(0, a) > logits.at(0, b);
-  };
+  auto by_logit = [&](int32_t a, int32_t b) { return logits[a] > logits[b]; };
   const int kk = std::min<int>(k, static_cast<int>(pool.size()));
   std::partial_sort(pool.begin(), pool.begin() + kk, pool.end(), by_logit);
   pool.resize(static_cast<size_t>(kk));
   if (static_cast<int>(pool.size()) < k && !candidates.empty()) {
     // Pad with the best unrestricted POIs not already present.
-    std::vector<int32_t> rest(static_cast<size_t>(logits.cols()));
+    std::vector<int32_t> rest(static_cast<size_t>(n));
     std::iota(rest.begin(), rest.end(), 0);
     std::sort(rest.begin(), rest.end(), by_logit);
     for (int32_t id : rest) {
@@ -146,20 +142,13 @@ int64_t PaSeq2Seq::NumParameters() const {
   return n;
 }
 
-tensor::Tensor PaSeq2Seq::Decode(
-    const WorkItem& item, bool training, std::vector<int>* predictions,
-    std::vector<std::vector<int32_t>>* rankings, util::Rng* rng) const {
+tensor::Tensor PaSeq2Seq::Decode(const WorkItem& item, util::Rng* rng) const {
   util::Rng& zrng = rng != nullptr ? *rng : rng_;
   const int n = static_cast<int>(item.enc_tokens.size());
   if (n < 2) return {};
 
   std::vector<char> is_target(n, 0);
-  std::vector<int> target_slot(n, -1);
-  for (size_t i = 0; i < item.target_positions.size(); ++i) {
-    is_target[item.target_positions[i]] = 1;
-    target_slot[item.target_positions[i]] = static_cast<int>(i);
-  }
-  static const std::vector<int32_t> kAllPois;
+  for (int t : item.target_positions) is_target[t] = 1;
 
   // --- Encoder ---
   std::vector<Tensor> xs(n);
@@ -179,32 +168,19 @@ tensor::Tensor PaSeq2Seq::Decode(
 
   std::vector<Tensor> loss_rows;
   std::vector<int> loss_targets;
-  std::vector<int> predicted(n, -1);
-
   for (int t = 1; t < n; ++t) {
-    // Previous check-in: observed, teacher-forced truth (training), or the
-    // model's own prediction (inference; paper Fig. 5's red feedback arrow).
-    int prev = item.enc_tokens[t - 1];
-    if (training) {
-      prev = item.truth[t - 1];
-    } else if (prev == missing_token() && predicted[t - 1] >= 0) {
-      prev = predicted[t - 1];
-    }
-
-    Tensor emb = embedding_.Forward({prev});
+    // The previous check-in, teacher-forced from the truth.
+    Tensor emb = embedding_.Forward({item.truth[t - 1]});
     Tensor feat = Tensor::FromData(
         {1, 2}, {item.feats[t].delta_t, item.feats[t].delta_d});
     Tensor x = tensor::ConcatCols({emb, feat});
 
-    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, training, zrng);
+    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, /*training=*/true, zrng);
     Tensor top_in = s1.h;
     if (config_.use_residual) {
-      // Both operands moved: the dying projection result is overwritten
-      // in place under inference (top_in still shares s1.h, so it takes
-      // the allocating path automatically).
       top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
     }
-    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, training, zrng);
+    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, /*training=*/true, zrng);
 
     if (!is_target[t]) continue;
 
@@ -213,32 +189,98 @@ tensor::Tensor PaSeq2Seq::Decode(
       hidden = attention_.Forward(s2.h, enc_states, /*center=*/t)
                    .attentional_hidden;
     }
-    Tensor logits = output_.Forward(hidden);
-    if (training) {
-      loss_rows.push_back(logits);
-      loss_targets.push_back(item.truth[t]);
-    } else {
-      const int slot = target_slot[t];
-      const std::vector<int32_t>& cands =
-          (slot >= 0 && slot < static_cast<int>(item.candidates.size()))
-              ? *item.candidates[static_cast<size_t>(slot)]
-              : kAllPois;
-      predicted[t] = ArgmaxRow(logits, cands);
-      if (rankings != nullptr) {
-        rankings->push_back(TopKRow(logits, cands, item.top_k));
-      }
-    }
-  }
-
-  if (!training) {
-    if (predictions != nullptr) {
-      predictions->clear();
-      for (int t : item.target_positions) predictions->push_back(predicted[t]);
-    }
-    return {};
+    loss_rows.push_back(output_.Forward(hidden));
+    loss_targets.push_back(item.truth[t]);
   }
   if (loss_rows.empty()) return {};
   return tensor::CrossEntropyLoss(tensor::ConcatRows(loss_rows), loss_targets);
+}
+
+void PaSeq2Seq::DecodeRows(const int* tokens, const poi::StepFeatures* feats,
+                           const char* is_target, int n,
+                           const PickFn& pick) const {
+  int last = n - 1;
+  while (last >= 1 && !is_target[last]) --last;
+  if (last < 1) return;  // Decoding starts at slot 1.
+
+  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
+  const int e = config_.embedding_dim;
+  const int in = e + 2;
+  const int w = 2 * config_.hidden_dim;
+  // [e ; Δt ; Δd] for slot t: the embedding row of `token`, then t's features.
+  auto input_row = [&](int token, int t, float* x) {
+    if (token < 0 || token >= embedding_.vocab_size()) {
+      throw std::out_of_range("PaSeq2Seq: token " + std::to_string(token) +
+                              " outside the embedding table");
+    }
+    const float* emb =
+        embedding_.table().data() + static_cast<int64_t>(token) * e;
+    std::copy(emb, emb + e, x);
+    x[e] = feats[t].delta_t;
+    x[e + 1] = feats[t].delta_d;
+  };
+
+  // Encoder inputs [n, in] and states [n, w], then the decoder's two states,
+  // a fresh state, its input, the residual skip, the top input and the
+  // attentional hidden row.
+  std::vector<float> buf(static_cast<size_t>(n) * (in + w) + 9 * w + in);
+  float* xs = buf.data();
+  float* enc = xs + static_cast<int64_t>(n) * in;
+  float* h1 = enc + static_cast<int64_t>(n) * w;
+  float* c1 = h1 + w;
+  float* h2 = c1 + w;
+  float* c2 = h2 + w;
+  float* h_new = c2 + w;
+  float* c_new = h_new + w;
+  float* skip = c_new + w;
+  float* top_in = skip + w;
+  float* hidden = top_in + w;
+  float* x = hidden + w;
+
+  for (int t = 0; t < n; ++t) input_row(tokens[t], t, xs + int64_t{t} * in);
+  encoder_.ForwardRows(xs, n, enc, h1, c1);
+  std::copy(h1, h1 + w, h2);
+  std::copy(c1, c1 + w, c2);
+
+  // Evaluation zoneout keeps the expected blend prev*p + next*(1 - p) of
+  // both states.
+  const float keep = config_.zoneout_prob;
+  auto step = [&](const nn::LstmCell& cell, const float* input, float* h,
+                  float* c) {
+    if (keep > 0.0f) {
+      cell.ForwardRows(input, h, c, h_new, c_new, 1);
+      kt.axpby(h, keep, h_new, 1.0f - keep, h, w);
+      kt.axpby(c, keep, c_new, 1.0f - keep, c, w);
+    } else {
+      cell.ForwardRows(input, h, c, h, c, 1);
+    }
+  };
+
+  std::vector<int32_t> decoded(static_cast<size_t>(n), -1);
+  for (int t = 1; t <= last; ++t) {
+    // The previous check-in: observed, or the model's own prediction (paper
+    // Fig. 5's red feedback arrow).
+    int prev = tokens[t - 1];
+    if (prev == missing_token() && decoded[t - 1] >= 0) prev = decoded[t - 1];
+    input_row(prev, t, x);
+
+    step(dec_bottom_, x, h1, c1);
+    const float* top = h1;
+    if (config_.use_residual) {
+      dec_input_projection_.ForwardRow(x, skip);
+      kt.add(h1, skip, top_in, w);
+      top = top_in;
+    }
+    step(dec_top_, top, h2, c2);
+
+    if (!is_target[t]) continue;
+    const float* out = h2;
+    if (config_.use_attention) {
+      attention_.ForwardRow(h2, enc, n, /*center=*/t, hidden);
+      out = hidden;
+    }
+    decoded[t] = pick(t, out);
+  }
 }
 
 tensor::Tensor PaSeq2Seq::DecoderLmLoss(const WorkItem& item,
@@ -493,7 +535,7 @@ void PaSeq2Seq::Fit(const std::vector<poi::CheckinSequence>& train) {
       const float loss = RunEpoch(
           items,
           [this](const WorkItem& item, util::Rng& rng) {
-            return Decode(item, /*training=*/true, nullptr, nullptr, &rng);
+            return Decode(item, &rng);
           },
           optimizer, /*stage=*/2, &watchdog);
       stats_.stage2.push_back(loss);
@@ -521,8 +563,7 @@ void PaSeq2Seq::Fit(const std::vector<poi::CheckinSequence>& train) {
       const float loss = RunEpoch(
           items,
           [this, ratio](const WorkItem& item, util::Rng& rng) {
-            return Decode(MaskItem(item, ratio, &rng), /*training=*/true,
-                          nullptr, nullptr, &rng);
+            return Decode(MaskItem(item, ratio, &rng), &rng);
           },
           optimizer, /*stage=*/3, &watchdog);
       stats_.stage3.push_back(loss);
@@ -592,7 +633,7 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
   // slot ranks the POIs within `candidate_radius_km` of either observed
   // check-in bracketing it. Every slot between the same two brackets shares
   // one set, the union of the brackets' radius lists, each of which is
-  // queried and sorted by id once per call.
+  // queried (ids only, in tree order) and sorted by id once per call.
   std::vector<int32_t> next_obs(n, -1);
   for (int t = n - 1, nxt = -1; t >= 0; --t) {
     if (!timeline[t].missing()) nxt = in.tokens[t];
@@ -605,10 +646,8 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
     auto [it, fresh] = radius_lists.try_emplace(poi);
     std::vector<int32_t>& ids = it->second;
     if (fresh) {
-      for (const auto& nb : pois_.SpatialIndex().WithinRadius(
-               pois_.coord(poi), config_.candidate_radius_km)) {
-        ids.push_back(nb.id);
-      }
+      ids = pois_.SpatialIndex().IdsWithinRadius(pois_.coord(poi),
+                                                 config_.candidate_radius_km);
       std::sort(ids.begin(), ids.end());  // The index holds each POI once.
     }
     return ids;
@@ -633,14 +672,43 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
 }
 
 std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
-  // Decode-only entry point: no Backward() ever runs on these forwards.
-  // (Decode itself is shared with training and must NOT scope itself.)
-  const tensor::InferenceModeScope inference;
   const auto& timeline = masked.timeline;
   const int n = static_cast<int>(timeline.size());
   const int total_missing = poi::CountMissing(timeline);
   if (total_missing == 0) return {};
   const ImputeInputs in = PrepareImpute(masked);
+
+  // The output projection scores only candidate POIs. W's columns and b's
+  // entries for the union of the call's candidate sets are packed once into
+  // [2H, |union|]; `column` maps a POI id to its packed column (-1 outside).
+  // Each packed logit is the full projection's, bit for bit: the same
+  // ascending-p matmul_block sum from zero, then the same bias add.
+  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
+  const int num_pois = pois_.size();
+  const int w = 2 * config_.hidden_dim;
+  std::vector<int32_t> column(static_cast<size_t>(num_pois), -1);
+  for (const std::vector<int32_t>& set : in.candidate_sets) {
+    for (int32_t id : set) column[id] = 0;
+  }
+  std::vector<int32_t> packed_ids;
+  for (int32_t id = 0; id < num_pois; ++id) {
+    if (column[id] < 0) continue;
+    column[id] = static_cast<int32_t>(packed_ids.size());
+    packed_ids.push_back(id);
+  }
+  const int u = static_cast<int>(packed_ids.size());
+  std::vector<float> packed_w(static_cast<size_t>(w) * u);
+  std::vector<float> packed_b(static_cast<size_t>(u));
+  const float* weight = output_.weight().data();
+  for (int p = 0; p < w; ++p) {
+    const float* src = weight + static_cast<int64_t>(p) * num_pois;
+    float* dst = packed_w.data() + static_cast<int64_t>(p) * u;
+    for (int j = 0; j < u; ++j) dst[j] = src[packed_ids[j]];
+  }
+  const float* bias = output_.bias().data();
+  for (int j = 0; j < u; ++j) packed_b[j] = bias[packed_ids[j]];
+  // An empty set (no radius) scores the whole catalogue.
+  std::vector<float> logits(static_cast<size_t>(num_pois));
 
   // Decode in overlapping chunks; a position's prediction is taken from the
   // chunk where it sits past the leading overlap (except in the first).
@@ -651,29 +719,39 @@ std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
   int begin = 0;
   while (begin < n) {
     const int end = std::min(n, begin + chunk);
-    WorkItem item;
-    item.enc_tokens.assign(in.tokens.begin() + begin, in.tokens.begin() + end);
-    item.feats.assign(in.feats.begin() + begin, in.feats.begin() + end);
+    std::vector<int> tokens(in.tokens.begin() + begin, in.tokens.begin() + end);
+    std::vector<char> is_target(static_cast<size_t>(end - begin), 0);
     const int fresh_from = begin == 0 ? 0 : begin + overlap;
     for (int t = begin; t < end; ++t) {
-      if (timeline[t].missing() && predicted[t] < 0 && t >= fresh_from) {
-        item.target_positions.push_back(t - begin);
-        item.candidates.push_back(&in.candidate_sets[in.candidate_set[t]]);
+      if (!timeline[t].missing()) continue;
+      if (predicted[t] >= 0) {
+        // Earlier predictions inside the overlap feed back as inputs.
+        tokens[t - begin] = predicted[t];
+      } else if (t >= fresh_from) {
+        is_target[t - begin] = 1;
       }
     }
-    // Earlier predictions inside the overlap feed back as decoder inputs.
-    for (int t = begin; t < end; ++t) {
-      if (timeline[t].missing() && predicted[t] >= 0) {
-        item.enc_tokens[t - begin] = predicted[t];
-      }
-    }
-    if (!item.target_positions.empty()) {
-      std::vector<int> preds;
-      Decode(item, /*training=*/false, &preds);
-      for (size_t i = 0; i < item.target_positions.size(); ++i) {
-        predicted[begin + item.target_positions[i]] = preds[i];
-      }
-    }
+    DecodeRows(
+        tokens.data(), in.feats.data() + begin, is_target.data(), end - begin,
+        [&](int t, const float* hidden) {
+          const std::vector<int32_t>& set =
+              in.candidate_sets[in.candidate_set[begin + t]];
+          float* row = logits.data();
+          if (set.empty()) {
+            output_.ForwardRow(hidden, row);
+            predicted[begin + t] =
+                Argmax(num_pois, [](int i) { return i; },
+                       [&](int i) { return row[i]; });
+          } else {
+            std::fill(row, row + u, 0.0f);
+            kt.matmul_block(hidden, packed_w.data(), row, w, u, 0, 1, 0, u);
+            kt.add(row, packed_b.data(), row, u);
+            predicted[begin + t] = Argmax(
+                static_cast<int>(set.size()), [&](int i) { return set[i]; },
+                [&](int i) { return row[column[set[i]]]; });
+          }
+          return predicted[begin + t];
+        });
     if (end == n) break;
     begin = end - overlap;
   }
@@ -692,42 +770,47 @@ std::vector<int32_t> PaSeq2Seq::RankNext(const poi::CheckinSequence& history,
                                          int64_t next_timestamp,
                                          int k) const {
   if (history.empty()) return {};
-  // Decode-only entry point (see Impute).
-  const tensor::InferenceModeScope inference;
 
   // Tail of the history plus one trailing missing slot.
   const int tail = std::min<int>(static_cast<int>(history.size()),
                                  config_.max_seq_len - 1);
   const poi::CheckinSequence recent(history.end() - tail, history.end());
-
-  WorkItem item;
   const int n = tail + 1;
-  item.enc_tokens.reserve(static_cast<size_t>(n));
-  for (const poi::Checkin& c : recent) item.enc_tokens.push_back(c.poi);
-  item.enc_tokens.push_back(missing_token());
-  item.feats =
+  std::vector<int> tokens;
+  tokens.reserve(static_cast<size_t>(n));
+  for (const poi::Checkin& c : recent) tokens.push_back(c.poi);
+  tokens.push_back(missing_token());
+  std::vector<poi::StepFeatures> feats =
       poi::ComputeSequenceFeatures(recent, pois_, config_.feature_scale);
   poi::StepFeatures last_feat;
   const double hours =
       static_cast<double>(next_timestamp - recent.back().timestamp) / 3600.0;
   last_feat.delta_t = static_cast<float>(std::min(
       std::max(hours, 0.0) / config_.feature_scale.hours_scale, 10.0));
-  item.feats.push_back(last_feat);
-  item.target_positions.push_back(n - 1);
-  item.top_k = k;
+  feats.push_back(last_feat);
+  std::vector<char> is_target(static_cast<size_t>(n), 0);
+  is_target[n - 1] = 1;
 
+  // Nearest first: partial_sort's order among tied logits follows the
+  // candidates' order.
   std::vector<int32_t> cands;
   if (config_.candidate_radius_km > 0.0) {
     for (const auto& nb : pois_.SpatialIndex().WithinRadius(
              pois_.coord(recent.back().poi), config_.candidate_radius_km)) {
       cands.push_back(nb.id);
     }
-    item.candidates.push_back(&cands);
   }
 
-  std::vector<std::vector<int32_t>> rankings;
-  Decode(item, /*training=*/false, nullptr, &rankings);
-  return rankings.empty() ? std::vector<int32_t>{} : rankings.front();
+  // The whole row: the ranking pads short candidate sets from it.
+  std::vector<float> logits(static_cast<size_t>(pois_.size()));
+  std::vector<int32_t> ranking;
+  DecodeRows(tokens.data(), feats.data(), is_target.data(), n,
+             [&](int, const float* hidden) {
+               output_.ForwardRow(hidden, logits.data());
+               ranking = TopKRow(logits.data(), pois_.size(), cands, k);
+               return -1;  // The last slot: nothing decodes after it.
+             });
+  return ranking;
 }
 
 poi::CheckinSequence PaSeq2Seq::ImputeTrip(const poi::Checkin& start,
@@ -815,7 +898,8 @@ std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
                      .attentional_hidden;
       }
       Tensor logp = tensor::LogSoftmax(output_.Forward(hidden));
-      const std::vector<int32_t> top = TopKRow(logp, cands, beam_width);
+      const std::vector<int32_t> top =
+          TopKRow(logp.data(), logp.cols(), cands, beam_width);
       for (int32_t poi_id : top) {
         Beam child = beam;
         child.logprob += logp.at(0, poi_id);

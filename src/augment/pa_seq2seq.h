@@ -158,38 +158,41 @@ class PaSeq2Seq : public Augmenter {
   int64_t NumParameters() const;
 
  private:
-  /// One training/inference problem over a fixed-length chunk.
+  /// One training problem over a fixed-length chunk.
   struct WorkItem {
-    /// Encoder-side tokens: POI ids, with `mc` at masked/missing positions.
+    /// Encoder-side tokens: POI ids, with `mc` at masked positions.
     std::vector<int> enc_tokens;
-    /// Ground truth per position (training; equals enc_tokens at observed
-    /// positions). Empty at inference.
+    /// Ground truth per position (equals enc_tokens at observed positions).
     std::vector<int> truth;
     std::vector<poi::StepFeatures> feats;
-    /// Positions whose prediction participates in the loss / output.
+    /// Positions whose prediction participates in the loss.
     std::vector<int> target_positions;
-    /// Inference only: per target position, the candidate POI ids the
-    /// argmax may pick from (an empty set = all POIs). The sets belong to
-    /// the caller and must outlive the Decode call.
-    std::vector<const std::vector<int32_t>*> candidates;
-    /// Inference only: ranking depth for `rankings` (see Decode).
-    int top_k = 1;
   };
 
-  /// Runs encoder + decoder over an item. In training mode returns the
-  /// cross-entropy loss at the target positions (teacher-forcing decoder
-  /// inputs from `truth`); in inference mode fills `predictions` (aligned
-  /// with `target_positions`), optionally `rankings` (top `item.top_k`
-  /// POIs per target), and returns an undefined tensor.
+  /// Runs encoder + decoder over an item and returns the cross-entropy loss
+  /// at the target positions, with teacher-forced decoder inputs from
+  /// `truth` (undefined for an item shorter than two slots).
   ///
-  /// `rng` supplies the zoneout draws in training mode; nullptr uses the
-  /// model's `rng_`. Data-parallel training passes a per-item stream so
-  /// concurrent items never touch the shared rng (which also keeps the
-  /// draws independent of the thread count). Inference draws nothing.
-  tensor::Tensor Decode(const WorkItem& item, bool training,
-                        std::vector<int>* predictions,
-                        std::vector<std::vector<int32_t>>* rankings = nullptr,
-                        util::Rng* rng = nullptr) const;
+  /// `rng` supplies the zoneout draws; nullptr uses the model's `rng_`.
+  /// Data-parallel training passes a per-item stream so concurrent items
+  /// never touch the shared rng (which also keeps the draws independent of
+  /// the thread count).
+  tensor::Tensor Decode(const WorkItem& item, util::Rng* rng = nullptr) const;
+
+  /// Greedy inference decoding of one chunk of `n` slots through the
+  /// explicit row forwards, with no tensor node: the encoder's
+  /// `ForwardRows`, both decoder cells' `ForwardRows` with the expected
+  /// zoneout blend, and attention's `ForwardRow`. `tokens` are POI ids, or
+  /// `mc` at missing slots; `is_target` marks the slots to predict. At each
+  /// target t (from slot 1; decoding stops after the last one),
+  /// `pick(t, hidden)` receives the decoder's output row `[2 * hidden_dim]`
+  /// and returns the POI decoded there, which a missing slot t feeds back
+  /// as the next step's input. Bitwise the graph decode within one kernel
+  /// table. Throws std::out_of_range for a token outside the embedding
+  /// table.
+  using PickFn = std::function<int32_t(int t, const float* hidden)>;
+  void DecodeRows(const int* tokens, const poi::StepFeatures* feats,
+                  const char* is_target, int n, const PickFn& pick) const;
 
   /// What Impute and ImputeBeam decode from, built once per call; defined
   /// in the .cc file.

@@ -250,28 +250,54 @@ std::vector<RTree::Neighbor> RTree::Nearest(const LatLng& p, int k) const {
   return result;
 }
 
-std::vector<RTree::Neighbor> RTree::WithinRadius(const LatLng& p,
-                                                 double radius_km) const {
-  std::vector<Neighbor> result;
-  std::vector<const Node*> stack = {root_.get()};
+namespace {
+
+// Calls `visit(entry, distance_km)` for every entry within `radius_km` of
+// `p`, in depth-first traversal order.
+template <typename Visit>
+void VisitWithinRadius(const Node* root, const LatLng& p, double radius_km,
+                       const Visit& visit) {
+  // An empty tree's root box is inverted (min > max), which MinDistanceKm's
+  // clamps must not see; every other node holds at least one entry.
+  if (root->Count() == 0) return;
+  std::vector<const Node*> stack = {root};
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
     if (node->box.MinDistanceKm(p) > radius_km) continue;
     if (node->leaf) {
-      for (const Entry& e : node->entries) {
+      for (const RTree::Entry& e : node->entries) {
         const double d = HaversineKm(p, e.point);
-        if (d <= radius_km) result.push_back({e.id, e.point, d});
+        if (d <= radius_km) visit(e, d);
       }
     } else {
       for (const auto& child : node->children) stack.push_back(child.get());
     }
   }
+}
+
+}  // namespace
+
+std::vector<RTree::Neighbor> RTree::WithinRadius(const LatLng& p,
+                                                 double radius_km) const {
+  std::vector<Neighbor> result;
+  VisitWithinRadius(root_.get(), p, radius_km,
+                    [&](const Entry& e, double d) {
+                      result.push_back({e.id, e.point, d});
+                    });
   std::sort(result.begin(), result.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance_km < b.distance_km;
             });
   return result;
+}
+
+std::vector<int32_t> RTree::IdsWithinRadius(const LatLng& p,
+                                            double radius_km) const {
+  std::vector<int32_t> ids;
+  VisitWithinRadius(root_.get(), p, radius_km,
+                    [&](const Entry& e, double) { ids.push_back(e.id); });
+  return ids;
 }
 
 std::vector<RTree::Entry> RTree::InBox(const BoundingBox& box) const {

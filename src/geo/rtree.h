@@ -18,7 +18,8 @@ namespace pa::geo {
 /// Supported queries:
 ///   * `Nearest(p, k)`  — k nearest entries by haversine distance, best-first
 ///     search with bounding-box lower-bound pruning.
-///   * `WithinRadius(p, r)` — all entries within r kilometres.
+///   * `WithinRadius(p, r)` — all entries within r kilometres, nearest
+///     first; `IdsWithinRadius(p, r)` — their ids alone, unsorted.
 ///   * `InBox(b)`       — all entries whose point lies in the box.
 ///
 /// The tree owns its entries; ids need not be unique.
@@ -55,6 +56,11 @@ class RTree {
 
   /// All entries within `radius_km` of `p`, ordered by increasing distance.
   std::vector<Neighbor> WithinRadius(const LatLng& p, double radius_km) const;
+
+  /// The ids of the entries `WithinRadius` returns, in traversal order: the
+  /// same tree walk and distance test, without the sort by distance.
+  std::vector<int32_t> IdsWithinRadius(const LatLng& p,
+                                       double radius_km) const;
 
   /// All entries inside `box`, in no particular order.
   std::vector<Entry> InBox(const BoundingBox& box) const;

@@ -42,6 +42,17 @@ class LocalAttention : public Module {
                  const std::vector<tensor::Tensor>& encoder_states,
                  int center) const;
 
+  /// The explicit inference forward of `Forward(...).attentional_hidden` on
+  /// raw rows: h_t `[decoder_dim]`, `states` `[n, encoder_dim]` (row s is
+  /// encoder state s, n >= 1), out `[decoder_dim]`. h_t W_a, the window
+  /// scores and the context run through the table's matmul_block (the
+  /// window read in place), then softmax, the same Gaussian prior, mul,
+  /// `combine_.ForwardRow` and tanh: Forward's kernels per element in the
+  /// same order, so the two agree bit for bit within one kernel table. No
+  /// autograd; `out` must not overlap the inputs.
+  void ForwardRow(const float* h_t, const float* states, int n, int center,
+                  float* out) const;
+
   std::vector<tensor::Tensor> Parameters() const override;
 
   int window() const { return window_; }

@@ -215,6 +215,61 @@ std::vector<tensor::Tensor> ResidualBiLstmStack::Forward(
   return out;
 }
 
+void ResidualBiLstmStack::ForwardRows(const float* xs, int n, float* out,
+                                      float* h_final, float* c_final) const {
+  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
+  const LstmCell& fw = bottom_.forward_cell();
+  const LstmCell& bw = bottom_.backward_cell();
+  const int in = fw.input_dim();
+  const int h = fw.hidden_dim();
+  const int w = top_.hidden_dim();  // 2h.
+  // The BiLSTM output [n, w] (row t = [h_fw(t) ; h_bw(t)]), then a zero
+  // state, the running cell state, the projected skip and the top input.
+  std::vector<float> buf(static_cast<size_t>(n + 4) * w, 0.0f);
+  float* bottom = buf.data();
+  const float* zeros = bottom + static_cast<int64_t>(n) * w;
+  float* c = bottom + static_cast<int64_t>(n + 1) * w;
+  float* skip = c + w;
+  float* top_in = skip + w;
+  auto row = [](auto* base, int t, int width) {
+    return base + static_cast<int64_t>(t) * width;
+  };
+
+  // Each direction reads its previous hidden state from the neighbouring
+  // row it wrote, and steps its cell state in place.
+  for (int t = 0; t < n; ++t) {
+    fw.ForwardRows(row(xs, t, in), t == 0 ? zeros : row(bottom, t - 1, w), c,
+                   row(bottom, t, w), c, 1);
+  }
+  std::fill(c, c + h, 0.0f);
+  for (int t = n - 1; t >= 0; --t) {
+    bw.ForwardRows(row(xs, t, in),
+                   t == n - 1 ? zeros : row(bottom, t + 1, w) + h, c,
+                   row(bottom, t, w) + h, c, 1);
+  }
+
+  std::fill(c, c + w, 0.0f);
+  for (int t = 0; t < n; ++t) {
+    const float* x = row(bottom, t, w);
+    if (use_residual_) {
+      // x^1 = h^1 + x^0 (paper Eq. 3), with x^0 projected when its width
+      // differs.
+      const float* x0 = row(xs, t, in);
+      if (input_projection_) {
+        input_projection_->ForwardRow(x0, skip);
+        x0 = skip;
+      }
+      kt.add(x, x0, top_in, w);
+      x = top_in;
+    }
+    top_.ForwardRows(x, t == 0 ? zeros : row(out, t - 1, w), c, row(out, t, w),
+                     c, 1);
+  }
+  const float* h_last = n > 0 ? row(out, n - 1, w) : zeros;
+  std::copy(h_last, h_last + w, h_final);
+  std::copy(c, c + w, c_final);
+}
+
 std::vector<tensor::Tensor> ResidualBiLstmStack::Parameters() const {
   std::vector<tensor::Tensor> params = ConcatParameters({&bottom_, &top_});
   if (input_projection_) {

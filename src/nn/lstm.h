@@ -123,6 +123,17 @@ class ResidualBiLstmStack : public Module {
   std::vector<tensor::Tensor> Forward(const std::vector<tensor::Tensor>& xs,
                                       LstmState* final_state = nullptr) const;
 
+  /// The explicit inference forward of one sequence over raw rows: xs
+  /// `[n, input_dim]` in, the top layer's hidden state per timestep out
+  /// `[n, 2 * hidden_dim]`, and its final state through `h_final` / `c_final`
+  /// (each `[2 * hidden_dim]`; zero when n is 0). Every cell steps through
+  /// `LstmCell::ForwardRows` and the residual sum is `Linear::ForwardRow`
+  /// then the table's `add`: the kernels `Forward` runs, per element in the
+  /// same order, so the two agree bit for bit within one kernel table. No
+  /// autograd; no output may overlap `xs`.
+  void ForwardRows(const float* xs, int n, float* out, float* h_final,
+                   float* c_final) const;
+
   std::vector<tensor::Tensor> Parameters() const override;
 
   bool use_residual() const { return use_residual_; }

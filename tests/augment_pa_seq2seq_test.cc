@@ -1,5 +1,7 @@
 #include "augment/pa_seq2seq.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "augment/imputation_eval.h"
@@ -137,6 +139,43 @@ TEST(PaSeq2SeqTest, MissingFirstSlotImputesARealPoi) {
         EXPECT_LT(poi_id, pois.size()) << "radius " << radius_km;
       }
     }
+  }
+}
+
+TEST(PaSeq2SeqTest, SingleMissingSlotTimelineImputesARealPoi) {
+  // A one-slot timeline is too short to decode; its slot gets the fallback
+  // (the first observed POI, else 0), with or without an observed check-in
+  // and whatever the candidate radius.
+  poi::PoiTable pois = CyclePois();
+  for (const poi::CheckinSequence& observed :
+       {poi::CheckinSequence{}, poi::CheckinSequence{{0, 4, 0, false}}}) {
+    MaskedSequence masked;
+    masked.observed = observed;
+    masked.timeline = {{3 * kHour, -1}};
+    for (double radius_km : {0.0, 20.0}) {
+      PaSeq2SeqConfig config = FastConfig();
+      config.candidate_radius_km = radius_km;
+      PaSeq2Seq model(pois, config);
+      for (const std::vector<int32_t>& imputed :
+           {model.Impute(masked), model.ImputeBeam(masked, 3)}) {
+        ASSERT_EQ(imputed.size(), 1u);
+        EXPECT_GE(imputed[0], 0) << "radius " << radius_km;
+        EXPECT_LT(imputed[0], pois.size()) << "radius " << radius_km;
+      }
+    }
+  }
+}
+
+TEST(PaSeq2SeqTest, OutOfRangeTokenIsATypedError) {
+  // The decode checks every token against the embedding table and reports
+  // a bad one as std::out_of_range. A one-check-in history at radius 0
+  // reaches the check without any coordinate lookup.
+  poi::PoiTable pois = CyclePois();
+  PaSeq2Seq model(pois, FastConfig());
+  for (int32_t bad : {-1, 7, 1000}) {  // 6 is the missing-check-in token.
+    EXPECT_THROW(model.RankNext({{0, bad, 0, false}}, 3 * kHour, 3),
+                 std::out_of_range)
+        << bad;
   }
 }
 

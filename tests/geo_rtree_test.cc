@@ -116,6 +116,27 @@ TEST(RTreeTest, WithinRadiusMatchesBruteForce) {
   }
 }
 
+TEST(RTreeTest, IdsWithinRadiusMatchesWithinRadiusIdSet) {
+  util::Rng rng(9);
+  auto entries = RandomEntries(2000, rng, 1.0);
+  RTree tree = RTree::Build(entries);
+  // An entry's own point (radius 0 finds it), a point inside the map and
+  // one far outside it.
+  for (const LatLng& p : {entries[17].point, LatLng{40.4, -99.6},
+                          LatLng{-35.0, 150.0}}) {
+    for (double radius : {0.0, 2.0, 15.0, 1000.0}) {
+      std::vector<int32_t> want;
+      for (const auto& n : tree.WithinRadius(p, radius)) want.push_back(n.id);
+      std::vector<int32_t> got = tree.IdsWithinRadius(p, radius);
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "(" << p.lat << ", " << p.lng << ") r="
+                           << radius;
+    }
+  }
+  EXPECT_FALSE(tree.IdsWithinRadius(entries[17].point, 0.0).empty());
+}
+
 TEST(RTreeTest, InBoxMatchesScan) {
   util::Rng rng(5);
   auto entries = RandomEntries(200, rng);

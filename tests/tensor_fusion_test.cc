@@ -1,6 +1,7 @@
 // Fusion-layer suite: the fused kernels (add3/lerp/axpby/cell_update/
-// tanh_mul/gate_act), the Lerp/Axpby ops, and the explicit fused forwards
-// (`ForwardRows`) of the RNN, ST-RNN, GRU, LSTM and ST-CLSTM cells.
+// tanh_mul/gate_act), the Lerp/Axpby ops, the explicit fused forwards
+// (`ForwardRows`) of the RNN, ST-RNN, GRU, LSTM and ST-CLSTM cells, and the
+// raw-row forwards of the residual BiLSTM encoder and local attention.
 //
 // The contracts under test, from kernels.h and the cell headers:
 //
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "augment/pa_seq2seq.h"
+#include "nn/attention.h"
 #include "nn/gru_cell.h"
 #include "nn/lstm.h"
 #include "nn/rnn_cell.h"
@@ -569,7 +571,106 @@ TEST(FusionEnabledTest, ScopedDisableTogglesEnabledOnThisThread) {
 }
 
 // ---------------------------------------------------------------------------
-// PA-Seq2Seq decoder: fused vs unfused vs graph decode-only entry points.
+// The module forwards PA-Seq2Seq's inference decode runs over raw rows,
+// against the graph path under every kernel table.
+
+// [n, d] inputs in (-1.5, 1.5), as one flat buffer.
+std::vector<float> SmallInput(int n, int d, uint32_t salt) {
+  std::vector<float> v = TestInput(static_cast<int64_t>(n) * d, salt);
+  for (float& x : v) x *= 0.25f;
+  return v;
+}
+
+// Row t of a flat [n, d] buffer as a [1, d] tensor, for every t.
+std::vector<Tensor> RowTensors(const std::vector<float>& flat, int n, int d) {
+  std::vector<Tensor> rows;
+  for (int t = 0; t < n; ++t) {
+    rows.push_back(Tensor::FromData(
+        {1, d}, std::vector<float>(flat.begin() + t * d,
+                                   flat.begin() + (t + 1) * d)));
+  }
+  return rows;
+}
+
+TEST(ExplicitModuleTest, ResidualBiLstmStackRowsMatchGraphForward) {
+  // 8 hidden per direction makes the stack 16 wide: a 10-wide input takes
+  // the projected skip, a 16-wide one the identity skip.
+  constexpr int kHidden = 8, kWidth = 2 * kHidden, kSteps = 9;
+  struct Case {
+    int input_dim;
+    bool residual;
+    const char* what;
+  };
+  for (const kernels::KernelTable* table : AllTables()) {
+    kernels::SetDispatchOverride(table);
+    for (const Case& c : {Case{10, true, "projected skip"},
+                          Case{10, false, "no residual"},
+                          Case{kWidth, true, "identity skip"}}) {
+      util::Rng rng(61);
+      const nn::ResidualBiLstmStack stack(c.input_dim, kHidden, c.residual,
+                                          rng);
+      const std::vector<float> xs = SmallInput(kSteps, c.input_dim, 62);
+      // Every step's output, then the final h and c.
+      std::vector<float> rows(static_cast<size_t>(kSteps + 2) * kWidth);
+      float* h_final = rows.data() + kSteps * kWidth;
+      stack.ForwardRows(xs.data(), kSteps, rows.data(), h_final,
+                        h_final + kWidth);
+      std::vector<float> graph;
+      {
+        tensor::internal::ScopedInferenceDisable disable;
+        nn::LstmState final_state;
+        for (const Tensor& h : stack.Forward(
+                 RowTensors(xs, kSteps, c.input_dim), &final_state)) {
+          const std::vector<float> row = Flat(h);
+          graph.insert(graph.end(), row.begin(), row.end());
+        }
+        for (const Tensor& t : {final_state.h, final_state.c}) {
+          const std::vector<float> row = Flat(t);
+          graph.insert(graph.end(), row.begin(), row.end());
+        }
+      }
+      EXPECT_TRUE(BitEqual(rows, graph)) << table->name << ", " << c.what;
+    }
+  }
+  kernels::SetDispatchOverride(nullptr);
+}
+
+TEST(ExplicitModuleTest, LocalAttentionRowMatchesGraphForward) {
+  constexpr int kDecoder = 12, kEncoder = 16, kHalfWindow = 3;
+  util::Rng rng(63);
+  const nn::LocalAttention attention(kDecoder, kEncoder, kHalfWindow, rng);
+  const std::vector<float> h_t = SmallInput(1, kDecoder, 64);
+  for (const kernels::KernelTable* table : AllTables()) {
+    kernels::SetDispatchOverride(table);
+    // At n = 10 a centre window is whole and the end ones are cut; at n = 5
+    // every window is cut, since n < 2D + 1.
+    for (int n : {10, 5}) {
+      const std::vector<float> states = SmallInput(n, kEncoder, 65);
+      for (int center : {0, n / 2, n - 1}) {
+        std::vector<float> row(kDecoder);
+        attention.ForwardRow(h_t.data(), states.data(), n, center,
+                             row.data());
+        std::vector<float> graph;
+        {
+          tensor::internal::ScopedInferenceDisable disable;
+          graph = Flat(attention
+                           .Forward(Tensor::FromData({1, kDecoder}, h_t),
+                                    RowTensors(states, n, kEncoder), center)
+                           .attentional_hidden);
+        }
+        EXPECT_TRUE(BitEqual(row, graph))
+            << table->name << ", n " << n << ", centre " << center;
+      }
+    }
+  }
+  kernels::SetDispatchOverride(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// PA-Seq2Seq's decode-only entry points decode through the explicit row
+// forwards whatever the fusion and inference switches say, so fused,
+// unfused and graph runs agree. The module tests above check those forwards
+// against the graph path; training_golden_test pins the whole decode.
 
 constexpr int64_t kHour = 3600;
 

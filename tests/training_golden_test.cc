@@ -7,6 +7,12 @@
 // PA-Seq2Seq then imputes every user's ground-truth masked timeline, greedy
 // and by beam search, and those POI ids are pinned the same way: a change
 // to decoding or to the localized-region candidate sets fails here too.
+// Those argmaxes see only the logits of a 2 km candidate set, so the same
+// parameters also rank each user's next POI with `RankNext` (the top 10 at
+// 2 km, and every POI with no restriction) and impute with no restriction:
+// a top-10 list depends on every logit that could enter it, a full ranking
+// on the order of all of them, and an unrestricted argmax on every logit
+// of the row.
 //
 // There is one set of constants for the scalar table and one for the SIMD
 // tables, which share every bit (kernels.h). The test selects each table
@@ -20,6 +26,7 @@
 // legitimately produce other hashes. Report such a difference; never
 // replace a hash with a tolerance.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -46,14 +53,22 @@ struct GoldenHashes {
   uint64_t pa_seq2seq_batch4;
   uint64_t impute;       // Of the batch_size 1 fit.
   uint64_t impute_beam;  // Of the batch_size 1 fit, beam width 3.
+  // Of the batch_size 1 fit's parameters: RankNext's top 10 at 2 km, its
+  // ranking of every POI with no candidate restriction, and Impute with no
+  // candidate restriction.
+  uint64_t rank_next;
+  uint64_t rank_next_all;
+  uint64_t impute_all;
 };
 
 constexpr GoldenHashes kScalarGolden = {
     0xe612586d2006dea4ull, 0x231ac1674bac10ecull, 0x42a132280352671dull,
-    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull};
+    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull,
+    0x3b23e2b4a9ba883dull, 0xef6ef95406c79758ull};
 constexpr GoldenHashes kSimdGolden = {
     0xbb4b68bfc26c633aull, 0xd6c4f3790adffe9aull, 0xd73139c3db531c93ull,
-    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull};
+    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull,
+    0xfe7a701664cdf865ull, 0xef6ef95406c79758ull};
 
 class TrainingGoldenTest : public ::testing::Test {
  protected:
@@ -115,10 +130,20 @@ struct PaSeq2SeqHashes {
   uint64_t params = kFnvOffset;
   uint64_t impute = kFnvOffset;
   uint64_t impute_beam = kFnvOffset;
+  uint64_t rank_next = kFnvOffset;
+  uint64_t rank_next_all = kFnvOffset;
+  uint64_t impute_all = kFnvOffset;
 };
 
+uint64_t HashIds(const std::vector<int32_t>& ids, uint64_t hash) {
+  return Fnv1a(ids.data(), sizeof(int32_t) * ids.size(), hash);
+}
+
 // Every parameter in Parameters() order, then the POI ids Impute and
-// ImputeBeam(masked, 3) return for each user's ground-truth timeline.
+// ImputeBeam(masked, 3) return for each user's ground-truth timeline, and
+// RankNext's top 10 after each user's observed sequence. A second model with
+// no candidate radius, given the fitted parameters, ranks every POI after
+// the same sequences and imputes the same timelines.
 PaSeq2SeqHashes FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
   augment::PaSeq2SeqConfig config;
   config.embedding_dim = 8;
@@ -142,15 +167,30 @@ PaSeq2SeqHashes FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
         p.data(), sizeof(float) * static_cast<size_t>(p.numel()),
         hashes.params);
   }
+  config.candidate_radius_km = 0.0;
+  augment::PaSeq2Seq unrestricted(lbsn.observed.pois, config);
+  const std::vector<tensor::Tensor> fitted = model.Parameters();
+  std::vector<tensor::Tensor> copies = unrestricted.Parameters();
+  for (size_t i = 0; i < fitted.size(); ++i) {
+    std::copy(fitted[i].data(), fitted[i].data() + fitted[i].numel(),
+              copies[i].data());
+  }
   for (int32_t u = 0; u < lbsn.observed.num_users(); ++u) {
     const augment::MaskedSequence masked =
         augment::MakeGroundTruthMasked(lbsn, u);
-    const std::vector<int32_t> greedy = model.Impute(masked);
-    const std::vector<int32_t> beam = model.ImputeBeam(masked, 3);
-    hashes.impute = Fnv1a(greedy.data(), sizeof(int32_t) * greedy.size(),
-                          hashes.impute);
-    hashes.impute_beam =
-        Fnv1a(beam.data(), sizeof(int32_t) * beam.size(), hashes.impute_beam);
+    hashes.impute = HashIds(model.Impute(masked), hashes.impute);
+    hashes.impute_beam = HashIds(model.ImputeBeam(masked, 3),
+                                 hashes.impute_beam);
+    hashes.impute_all = HashIds(unrestricted.Impute(masked),
+                                hashes.impute_all);
+    const poi::CheckinSequence& history = lbsn.observed.sequences[u];
+    if (history.empty()) continue;
+    const int64_t next = history.back().timestamp + 3 * 3600;
+    hashes.rank_next =
+        HashIds(model.RankNext(history, next, 10), hashes.rank_next);
+    hashes.rank_next_all = HashIds(
+        unrestricted.RankNext(history, next, lbsn.observed.pois.size()),
+        hashes.rank_next_all);
   }
   return hashes;
 }
@@ -174,6 +214,12 @@ void ExpectGolden(const tensor::kernels::KernelTable& table,
         << where << "Impute hash " << Hex(pa.impute);
     EXPECT_EQ(pa.impute_beam, golden.impute_beam)
         << where << "ImputeBeam hash " << Hex(pa.impute_beam);
+    EXPECT_EQ(pa.rank_next, golden.rank_next)
+        << where << "RankNext hash " << Hex(pa.rank_next);
+    EXPECT_EQ(pa.rank_next_all, golden.rank_next_all)
+        << where << "full RankNext hash " << Hex(pa.rank_next_all);
+    EXPECT_EQ(pa.impute_all, golden.impute_all)
+        << where << "unrestricted Impute hash " << Hex(pa.impute_all);
     const uint64_t pa4 = FitPaSeq2Seq(lbsn, 4).params;
     EXPECT_EQ(pa4, golden.pa_seq2seq_batch4)
         << where << "PA-Seq2Seq batch_size 4 hash " << Hex(pa4);
