@@ -1,12 +1,10 @@
 // Tour of the spatial substrate: the R-tree (Guttman, quadratic split — the
-// access method the paper cites for its interpolation baselines), the
-// uniform grid index, great-circle interpolation, and the slot grid that
-// turns a sparse check-in sequence into the evenly-spaced timeline of the
-// paper's Fig. 1.
+// access method the paper cites for its interpolation baselines),
+// great-circle interpolation, and the slot grid that turns a sparse
+// check-in sequence into the evenly-spaced timeline of the paper's Fig. 1.
 
 #include <cstdio>
 
-#include "geo/grid_index.h"
 #include "geo/latlng.h"
 #include "geo/rtree.h"
 #include "poi/slot_grid.h"
@@ -18,11 +16,9 @@ int main() {
   // --- R-tree over a random POI field -----------------------------------
   util::Rng rng(9);
   geo::RTree rtree;
-  geo::GridIndex grid(0.05);
   for (int i = 0; i < 20000; ++i) {
-    geo::LatLng p{30.0 + rng.Uniform(0, 3.0), -98.0 + rng.Uniform(0, 3.0)};
-    rtree.Insert(p, i);
-    grid.Insert(p, i);
+    rtree.Insert({30.0 + rng.Uniform(0, 3.0), -98.0 + rng.Uniform(0, 3.0)},
+                 i);
   }
   std::printf("R-tree: %zu points, height %d\n", rtree.size(),
               rtree.Height());
@@ -35,8 +31,7 @@ int main() {
                 n.point.ToString().c_str(), n.distance_km);
   }
   auto in_radius = rtree.WithinRadius(austin, 10.0);
-  std::printf("POIs within 10 km: %zu (grid index agrees: %zu)\n",
-              in_radius.size(), grid.WithinRadius(austin, 10.0).size());
+  std::printf("POIs within 10 km: %zu\n", in_radius.size());
 
   // --- Great-circle interpolation (the LI baselines' straight path) -----
   const geo::LatLng dallas{32.7767, -96.7970};

@@ -11,7 +11,10 @@ This script has two modes:
       Diff the numeric metrics of two runs of the same benchmark. A metric
       is a regression when it moves in its "worse" direction by more than
       the threshold fraction (default 15%). Exits 1 if any metric
-      regressed, 2 on malformed input. A *missing* baseline is not an
+      regressed, 2 on malformed input or when the two files come from
+      different hosts: their "simd_table" or "hardware_concurrency"
+      stamps differ (a field one file lacks counts as different). A
+      *missing* baseline is not an
       error: the current run is recorded as the new baseline and the
       script exits 0 — first runs on a fresh checkout (or after a bench
       gains metrics) seed the baseline instead of failing CI. A baseline
@@ -28,9 +31,10 @@ This script has two modes:
       Used by tier1.sh as a cheap smoke gate without needing a baseline.
       Benches with known schemas get extra checks: an "inference_path"
       file at schema_version >= 2 must carry the SIMD-dispatch arm
-      (simd_table, *_scalar_ns_op, *_simd_speedup) and the int8 quantized
-      serving arm (topk_int8_*, hr10_float/hr10_int8 in [0, 1],
-      quant_hr_drift >= 0).
+      (simd_table, *_scalar_ns_op, *_simd_speedup), at >= 3 the fusion
+      arm (*_fused_ns_op, *_fused_speedup) and at >= 4 the host's
+      hardware_concurrency. (Schema 4 dropped the int8 serving arm,
+      which earlier files still carry.)
 
       Files ending in .ndjson are validated as PA_OBS_TIMESERIES dumps
       instead (schema "pa.timeseries.v1", one object per line): seq must
@@ -57,20 +61,18 @@ HIGHER_PREFIXES = ("hr", "mrr")
 
 REQUIRED_KEYS = ("bench", "schema_version")
 
+# The host stamps compare mode requires to match before it diffs two files.
+HOST_STAMP_KEYS = ("simd_table", "hardware_concurrency")
+
 # Per-bench schema knowledge: keys a given (bench, schema_version) pair must
 # carry, beyond the generic finite-metric checks. inference_path grew the
-# SIMD-dispatch and int8-quantized-serving arms in schema_version 2.
+# SIMD-dispatch arm in schema_version 2.
 INFERENCE_PATH_V2_KEYS = (
     "simd_table",
     "lstm_forward_scalar_ns_op",
     "lstm_forward_simd_speedup",
     "st_clstm_forward_scalar_ns_op",
     "st_clstm_forward_simd_speedup",
-    "topk_int8_qps",
-    "topk_int8_speedup",
-    "hr10_float",
-    "hr10_int8",
-    "quant_hr_drift",
 )
 
 # inference_path grew the operator-fusion arm in schema_version 3:
@@ -86,6 +88,10 @@ INFERENCE_PATH_V3_KEYS = (
     "lstm_forward_h128_fused_ns_op",
     "lstm_forward_h128_fused_speedup",
 )
+
+# inference_path dropped the int8 serving arm and stamped the host's core
+# count beside simd_table in schema_version 4.
+INFERENCE_PATH_V4_KEYS = ("hardware_concurrency",)
 
 # serving grew the sharded-router, networked and overload arms in
 # schema_version 2 (bench_serving: ShardedEngine scaling, NdjsonServer
@@ -306,16 +312,6 @@ def check_schema(paths):
             if not isinstance(doc.get("simd_table", ""), str) \
                     or not doc.get("simd_table"):
                 problems.append("'simd_table' must be a non-empty string")
-            for key in ("hr10_float", "hr10_int8"):
-                value = doc.get(key)
-                if isinstance(value, (int, float)) and \
-                        not isinstance(value, bool) and \
-                        not 0.0 <= value <= 1.0:
-                    problems.append(f"'{key}' must be in [0, 1] ({value})")
-            drift = doc.get("quant_hr_drift")
-            if isinstance(drift, (int, float)) and \
-                    not isinstance(drift, bool) and drift < 0.0:
-                problems.append(f"'quant_hr_drift' must be >= 0 ({drift})")
         if doc.get("bench") == "inference_path" and \
                 isinstance(doc.get("schema_version"), int) and \
                 doc["schema_version"] >= 3:
@@ -324,6 +320,17 @@ def check_schema(paths):
                     problems.append(f"inference_path v3 missing '{key}'")
             if not isinstance(doc.get("fusion_enabled"), bool):
                 problems.append("'fusion_enabled' must be a boolean")
+        if doc.get("bench") == "inference_path" and \
+                isinstance(doc.get("schema_version"), int) and \
+                doc["schema_version"] >= 4:
+            for key in INFERENCE_PATH_V4_KEYS:
+                if key not in doc:
+                    problems.append(f"inference_path v4 missing '{key}'")
+            cores = doc.get("hardware_concurrency")
+            if isinstance(cores, bool) or not isinstance(cores, int) \
+                    or cores < 0:
+                problems.append("'hardware_concurrency' must be a "
+                                f"non-negative integer ({cores!r})")
         if doc.get("bench") == "serving" and \
                 isinstance(doc.get("schema_version"), int) and \
                 doc["schema_version"] >= 2:
@@ -391,6 +398,13 @@ def compare(baseline_path, current_path, threshold):
         print(f"bench_compare: benchmark mismatch: {baseline.get('bench')!r} "
               f"vs {current.get('bench')!r}", file=sys.stderr)
         return 2
+    for key in HOST_STAMP_KEYS:
+        if baseline.get(key) != current.get(key):
+            print(f"bench_compare: host mismatch: {key} "
+                  f"{baseline.get(key)!r} vs {current.get(key)!r}; "
+                  f"refusing to diff runs from different hosts",
+                  file=sys.stderr)
+            return 2
     if bool(baseline.get("smoke")) != bool(current.get("smoke")):
         # A smoke run shrinks the workload, so its numbers are not
         # comparable with a full-run baseline (or vice versa). Report and

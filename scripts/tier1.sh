@@ -83,6 +83,20 @@ python3 scripts/trace_summary.py build/tier1_trace.json --top 10
 rm -rf build/tier1_store
 build/src/serve/pa_serve publish --store build/tier1_store \
   --users 4 --pois 60 --epochs-scale 0.125 >/dev/null
+# A flag its subcommand does not read is refused before any work: the
+# retired `--quantize 1` exits 2 and publishes no second version.
+status=0
+build/src/serve/pa_serve publish --store build/tier1_store \
+  --users 4 --pois 60 --epochs-scale 0.125 --quantize 1 \
+  >/dev/null 2>&1 || status=$?
+[[ $status -eq 2 ]] \
+  || { echo "publish --quantize 1 exited $status, want 2" >&2; exit 1; }
+build/src/serve/pa_serve list --store build/tier1_store | python3 -c '
+import json, sys
+models = json.loads(sys.stdin.readline())["models"]
+assert [m["versions"] for m in models] == [[1]], models
+print("pa_serve publish --quantize 1: refused, store unchanged")
+'
 build/src/serve/pa_serve stats --store build/tier1_store | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.readline())
@@ -368,9 +382,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # suite rides along because the cells' explicit forwards hand raw column
 # offsets and scratch layouts (gate blocks inside one row, matmul_block
 # column ranges) straight to the kernels. The PA-Seq2Seq imputation suites
-# ride along because Impute and ImputeBeam decode through pointers and
-# indices into candidate-set tables and packed projection columns that live
-# for one call, and so does the direct-recommendation suite, whose RankNext
+# ride along because Impute decodes through pointers and indices into
+# candidate-set tables and packed projection columns that live for one
+# call, and so does the direct-recommendation suite, whose RankNext
 # hands a raw logits row to the top-k; the R-tree suite checks the radius
 # queries those candidate sets come from.
 cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null

@@ -175,12 +175,12 @@ tensor::Tensor PaSeq2Seq::Decode(const WorkItem& item, util::Rng* rng) const {
         {1, 2}, {item.feats[t].delta_t, item.feats[t].delta_d});
     Tensor x = tensor::ConcatCols({emb, feat});
 
-    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, /*training=*/true, zrng);
+    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, zrng);
     Tensor top_in = s1.h;
     if (config_.use_residual) {
       top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
     }
-    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, /*training=*/true, zrng);
+    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, zrng);
 
     if (!is_target[t]) continue;
 
@@ -299,7 +299,7 @@ tensor::Tensor PaSeq2Seq::DecoderLmLoss(const WorkItem& item,
     Tensor feat = Tensor::FromData(
         {1, 2}, {item.feats[t].delta_t, item.feats[t].delta_d});
     Tensor x = tensor::ConcatCols({emb, feat});
-    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, /*training=*/true, zrng);
+    s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, zrng);
     Tensor top_in = s1.h;
     if (config_.use_residual) {
       // Both operands moved: the dying projection result is overwritten
@@ -307,7 +307,7 @@ tensor::Tensor PaSeq2Seq::DecoderLmLoss(const WorkItem& item,
       // the allocating path automatically).
       top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
     }
-    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, /*training=*/true, zrng);
+    s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, zrng);
     loss_rows.push_back(output_.Forward(s2.h));
     loss_targets.push_back(item.truth[t]);
   }
@@ -820,113 +820,6 @@ poi::CheckinSequence PaSeq2Seq::ImputeTrip(const poi::Checkin& start,
   poi::CheckinSequence endpoints = {start, end};
   return AugmentSequence(*this, endpoints, start.user, interval_seconds,
                          max_missing_per_gap);
-}
-
-std::vector<int32_t> PaSeq2Seq::ImputeBeam(const MaskedSequence& masked,
-                                           int beam_width) const {
-  // Decode-only entry point (see Impute).
-  const tensor::InferenceModeScope inference;
-  const auto& timeline = masked.timeline;
-  const int n = static_cast<int>(timeline.size());
-  const int total_missing = poi::CountMissing(timeline);
-  if (total_missing == 0) return {};
-  beam_width = std::max(1, beam_width);
-  const ImputeInputs in = PrepareImpute(masked);
-
-  // Encoder, once.
-  std::vector<Tensor> xs(n);
-  for (int t = 0; t < n; ++t) {
-    Tensor emb = embedding_.Forward({in.tokens[t]});
-    Tensor feat =
-        Tensor::FromData({1, 2}, {in.feats[t].delta_t, in.feats[t].delta_d});
-    xs[t] = tensor::ConcatCols({emb, feat});
-  }
-  nn::LstmState enc_final;
-  std::vector<Tensor> enc_states = encoder_.Forward(xs, &enc_final);
-
-  struct Beam {
-    double logprob = 0.0;
-    nn::LstmState s1, s2;
-    std::vector<int> predicted;  // Per position; -1 where not missing.
-  };
-  std::vector<Beam> beams(1);
-  beams[0].s1 = {enc_final.h, enc_final.c};
-  beams[0].s2 = {enc_final.h, enc_final.c};
-  beams[0].predicted.assign(static_cast<size_t>(n), -1);
-
-  const nn::ZoneoutConfig zoneout{config_.zoneout_prob, config_.zoneout_prob};
-  for (int t = 1; t < n; ++t) {
-    // Advance every beam one decoder step.
-    std::vector<Beam> advanced;
-    advanced.reserve(beams.size());
-    for (Beam& beam : beams) {
-      int prev = in.tokens[t - 1];
-      if (prev == missing_token() && beam.predicted[t - 1] >= 0) {
-        prev = beam.predicted[t - 1];
-      }
-      Tensor emb = embedding_.Forward({prev});
-      Tensor feat =
-          Tensor::FromData({1, 2}, {in.feats[t].delta_t, in.feats[t].delta_d});
-      Tensor x = tensor::ConcatCols({emb, feat});
-      Beam next = beam;
-      next.s1 = dec_bottom_.ForwardZoneout(x, beam.s1, zoneout,
-                                           /*training=*/false, rng_);
-      Tensor top_in = next.s1.h;
-      if (config_.use_residual) {
-        // Both operands moved: the dying projection result is overwritten
-      // in place under inference (top_in still shares s1.h, so it takes
-      // the allocating path automatically).
-      top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
-      }
-      next.s2 = dec_top_.ForwardZoneout(top_in, beam.s2, zoneout,
-                                        /*training=*/false, rng_);
-      advanced.push_back(std::move(next));
-    }
-
-    if (!timeline[t].missing()) {
-      beams = std::move(advanced);
-      continue;
-    }
-
-    // Expand each beam with its top-width candidates for this slot.
-    const std::vector<int32_t>& cands = in.candidate_sets[in.candidate_set[t]];
-    std::vector<Beam> expanded;
-    for (Beam& beam : advanced) {
-      Tensor hidden = beam.s2.h;
-      if (config_.use_attention) {
-        hidden = attention_.Forward(beam.s2.h, enc_states, t)
-                     .attentional_hidden;
-      }
-      Tensor logp = tensor::LogSoftmax(output_.Forward(hidden));
-      const std::vector<int32_t> top =
-          TopKRow(logp.data(), logp.cols(), cands, beam_width);
-      for (int32_t poi_id : top) {
-        Beam child = beam;
-        child.logprob += logp.at(0, poi_id);
-        child.predicted[t] = poi_id;
-        expanded.push_back(std::move(child));
-      }
-    }
-    std::sort(expanded.begin(), expanded.end(),
-              [](const Beam& a, const Beam& b) {
-                return a.logprob > b.logprob;
-              });
-    if (static_cast<int>(expanded.size()) > beam_width) {
-      expanded.resize(static_cast<size_t>(beam_width));
-    }
-    beams = std::move(expanded);
-  }
-
-  const Beam& best = beams.front();
-  std::vector<int32_t> result;
-  result.reserve(static_cast<size_t>(total_missing));
-  for (int t = 0; t < n; ++t) {
-    if (timeline[t].missing()) {
-      result.push_back(best.predicted[t] >= 0 ? best.predicted[t]
-                                              : in.fallback);
-    }
-  }
-  return result;
 }
 
 bool PaSeq2Seq::SaveToFile(const std::string& path) const {

@@ -133,14 +133,6 @@ class PaSeq2Seq : public Augmenter {
                                   int64_t interval_seconds,
                                   int max_missing_per_gap = 0) const;
 
-  /// Beam-search imputation — an extension over the paper's greedy
-  /// decoding. Maintains `beam_width` decoder hypotheses over the whole
-  /// timeline (no chunking) and returns the highest-probability assignment
-  /// of POIs to missing slots. `beam_width <= 1` degenerates to greedy
-  /// decoding of the same single pass.
-  std::vector<int32_t> ImputeBeam(const MaskedSequence& masked,
-                                  int beam_width) const;
-
   /// Checkpointing: persists / restores all trainable parameters (the
   /// architecture in `config` must match at load time).
   bool SaveToFile(const std::string& path) const;
@@ -194,8 +186,8 @@ class PaSeq2Seq : public Augmenter {
   void DecodeRows(const int* tokens, const poi::StepFeatures* feats,
                   const char* is_target, int n, const PickFn& pick) const;
 
-  /// What Impute and ImputeBeam decode from, built once per call; defined
-  /// in the .cc file.
+  /// What Impute decodes from, built once per call; defined in the .cc
+  /// file.
   struct ImputeInputs;
   ImputeInputs PrepareImpute(const MaskedSequence& masked) const;
 

@@ -72,18 +72,25 @@ double BoundingBox::EnlargementDeg2(const BoundingBox& o) const {
 }
 
 double BoundingBox::MinDistanceKm(const LatLng& p) const {
-  const double lat = std::clamp(p.lat, min_lat, max_lat);
-  const double lng = std::clamp(p.lng, min_lng, max_lng);
-  return HaversineKm(p, {lat, lng});
-}
-
-BoundingBox BoundingBoxAround(const LatLng& center, double radius_km) {
-  const double dlat = Degrees(radius_km / kEarthRadiusKm);
-  const double cos_lat =
-      std::max(0.01, std::cos(Radians(center.lat)));  // Pole guard.
-  const double dlng = Degrees(radius_km / (kEarthRadiusKm * cos_lat));
-  return {center.lat - dlat, center.lng - dlng, center.lat + dlat,
-          center.lng + dlng};
+  // The larger of two true lower bounds, as a central angle. Outside the
+  // latitude range, every box point is at least the latitude gap away.
+  // Outside the longitude range, every box point lies beyond the great
+  // circle of the nearer edge meridian, which is asin(cos lat_p sin |dlng|)
+  // away. (Clamping p into the box instead is not a bound: a meridian
+  // edge's nearest point lies poleward of p's latitude.)
+  double angle = 0.0;
+  if (p.lat < min_lat) angle = Radians(min_lat - p.lat);
+  if (p.lat > max_lat) angle = Radians(p.lat - max_lat);
+  const double dlng = p.lng < min_lng   ? min_lng - p.lng
+                      : p.lng > max_lng ? p.lng - max_lng
+                                        : 0.0;
+  if (dlng > 0.0) {
+    angle = std::max(angle, std::asin(std::cos(Radians(p.lat)) *
+                                      std::sin(Radians(dlng))));
+  }
+  // Shaded down so rounding never lifts it above HaversineKm to a point on
+  // the box edge.
+  return kEarthRadiusKm * angle * (1.0 - 1e-12);
 }
 
 }  // namespace pa::geo

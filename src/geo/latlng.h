@@ -43,10 +43,6 @@ struct BoundingBox {
     return p.lat >= min_lat && p.lat <= max_lat && p.lng >= min_lng &&
            p.lng <= max_lng;
   }
-  bool Intersects(const BoundingBox& o) const {
-    return min_lat <= o.max_lat && max_lat >= o.min_lat &&
-           min_lng <= o.max_lng && max_lng >= o.min_lng;
-  }
   /// Grows to cover `o`.
   void Extend(const BoundingBox& o);
   void Extend(const LatLng& p) { Extend(FromPoint(p)); }
@@ -57,14 +53,12 @@ struct BoundingBox {
   /// Area of the union with `o` minus own area (enlargement cost).
   double EnlargementDeg2(const BoundingBox& o) const;
 
-  /// Lower bound on the distance (km) from `p` to any point in the box;
-  /// zero when `p` is inside. Used to prune R-tree k-NN search.
+  /// Lower bound on the great-circle distance (km) from `p` to any point
+  /// in the box; zero when `p` is inside. It never exceeds `HaversineKm`
+  /// from `p` to a box point, so the R-tree may prune a box whose bound
+  /// exceeds a query radius or the k-th best distance.
   double MinDistanceKm(const LatLng& p) const;
 };
-
-/// Bounding box covering a circle of `radius_km` around `center` (slightly
-/// conservative near the poles, which is fine for a filter step).
-BoundingBox BoundingBoxAround(const LatLng& center, double radius_km);
 
 }  // namespace pa::geo
 

@@ -257,8 +257,8 @@ namespace {
 template <typename Visit>
 void VisitWithinRadius(const Node* root, const LatLng& p, double radius_km,
                        const Visit& visit) {
-  // An empty tree's root box is inverted (min > max), which MinDistanceKm's
-  // clamps must not see; every other node holds at least one entry.
+  // An empty tree's root box is inverted (min > max) and bounds nothing;
+  // every other node holds at least one entry.
   if (root->Count() == 0) return;
   std::vector<const Node*> stack = {root};
   while (!stack.empty()) {
@@ -298,24 +298,6 @@ std::vector<int32_t> RTree::IdsWithinRadius(const LatLng& p,
   VisitWithinRadius(root_.get(), p, radius_km,
                     [&](const Entry& e, double) { ids.push_back(e.id); });
   return ids;
-}
-
-std::vector<RTree::Entry> RTree::InBox(const BoundingBox& box) const {
-  std::vector<Entry> result;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!node->box.Intersects(box)) continue;
-    if (node->leaf) {
-      for (const Entry& e : node->entries) {
-        if (box.Contains(e.point)) result.push_back(e);
-      }
-    } else {
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-  }
-  return result;
 }
 
 int RTree::Height() const {

@@ -20,7 +20,6 @@ namespace pa::geo {
 ///     search with bounding-box lower-bound pruning.
 ///   * `WithinRadius(p, r)` — all entries within r kilometres, nearest
 ///     first; `IdsWithinRadius(p, r)` — their ids alone, unsorted.
-///   * `InBox(b)`       — all entries whose point lies in the box.
 ///
 /// The tree owns its entries; ids need not be unique.
 class RTree {
@@ -61,9 +60,6 @@ class RTree {
   /// same tree walk and distance test, without the sort by distance.
   std::vector<int32_t> IdsWithinRadius(const LatLng& p,
                                        double radius_km) const;
-
-  /// All entries inside `box`, in no particular order.
-  std::vector<Entry> InBox(const BoundingBox& box) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -103,31 +103,16 @@ void LstmCell::ForwardRows(const float* x, const float* h_prev,
 
 LstmState LstmCell::ForwardZoneout(const tensor::Tensor& x,
                                    const LstmState& prev,
-                                   const ZoneoutConfig& zoneout, bool training,
+                                   const ZoneoutConfig& zoneout,
                                    util::Rng& rng) const {
   LstmState next = Forward(x, prev);
-  if (!zoneout.enabled()) return next;
-  if (training) {
-    if (zoneout.hidden_prob > 0.0f) {
-      Tensor mask = BernoulliMask(next.h.shape(), zoneout.hidden_prob, rng);
-      next.h = ZoneoutBlend(mask, prev.h, std::move(next.h));
-    }
-    if (zoneout.cell_prob > 0.0f) {
-      Tensor mask = BernoulliMask(next.c.shape(), zoneout.cell_prob, rng);
-      next.c = ZoneoutBlend(mask, prev.c, std::move(next.c));
-    }
-  } else {
-    // Evaluation uses the expected blend: one fused axpby pass, overwriting
-    // the dying fresh state in place instead of two Scale temporaries plus
-    // an Add.
-    if (zoneout.hidden_prob > 0.0f) {
-      next.h = tensor::Axpby(prev.h, zoneout.hidden_prob, std::move(next.h),
-                             1.0f - zoneout.hidden_prob);
-    }
-    if (zoneout.cell_prob > 0.0f) {
-      next.c = tensor::Axpby(prev.c, zoneout.cell_prob, std::move(next.c),
-                             1.0f - zoneout.cell_prob);
-    }
+  if (zoneout.hidden_prob > 0.0f) {
+    Tensor mask = BernoulliMask(next.h.shape(), zoneout.hidden_prob, rng);
+    next.h = ZoneoutBlend(mask, prev.h, std::move(next.h));
+  }
+  if (zoneout.cell_prob > 0.0f) {
+    Tensor mask = BernoulliMask(next.c.shape(), zoneout.cell_prob, rng);
+    next.c = ZoneoutBlend(mask, prev.c, std::move(next.c));
   }
   return next;
 }

@@ -24,7 +24,6 @@ struct LstmState {
 struct ZoneoutConfig {
   float hidden_prob = 0.0f;  // Probability of preserving h units.
   float cell_prob = 0.0f;    // Probability of preserving c units.
-  bool enabled() const { return hidden_prob > 0.0f || cell_prob > 0.0f; }
 };
 
 /// Single LSTM layer (Hochreiter & Schmidhuber, 1997) with optional zoneout.
@@ -55,12 +54,13 @@ class LstmCell : public Module {
   void ForwardRows(const float* x, const float* h_prev, const float* c_prev,
                    float* h_out, float* c_out, int batch) const;
 
-  /// Step with zoneout. When `training` is true, units are preserved by
-  /// Bernoulli masks drawn from `rng`; at evaluation time the expectation
-  /// (a convex blend of previous and new state) is used instead, mirroring
-  /// the train/eval asymmetry of dropout.
+  /// Training step with zoneout: units are preserved by Bernoulli masks
+  /// drawn from `rng`. (Inference uses the expectation, a convex blend of
+  /// previous and new state, mirroring the train/eval asymmetry of
+  /// dropout; PaSeq2Seq's decoder applies it to the rows `ForwardRows`
+  /// returns.)
   LstmState ForwardZoneout(const tensor::Tensor& x, const LstmState& prev,
-                           const ZoneoutConfig& zoneout, bool training,
+                           const ZoneoutConfig& zoneout,
                            util::Rng& rng) const;
 
   /// Zero state for a batch of the given size.

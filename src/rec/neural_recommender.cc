@@ -74,8 +74,6 @@ nn::LstmState NeuralRecommender::Step(const nn::LstmState& state, int poi,
 }
 
 void NeuralRecommender::BuildModules(int num_pois) {
-  // Any previous int8 tables described the old parameters.
-  quantized_ = tensor::kernels::QuantizedLinear{};
   embedding_.reset();
   rnn_.reset();
   gru_.reset();
@@ -241,18 +239,13 @@ class NeuralRecSession : public RecSession {
       nn::LstmState phantom = rec_->Step(state_, last_.poi, dt, 0.0f);
       hidden = phantom.h;
     }
-    // Score into one reused per-thread row — the int8 GEMV when publish
-    // built the tables, else the float projection (bitwise Linear::Forward)
-    // — with no tensor node or pool traffic, then rank it in one scan.
+    // Score into one reused per-thread row with the float projection
+    // (bitwise Linear::Forward) — no tensor node or pool traffic — then
+    // rank it in one scan.
     const nn::Linear& output = *rec_->output_;
     static thread_local std::vector<float> logits_row;
     logits_row.resize(static_cast<size_t>(output.out_dim()));
-    if (rec_->quantized_.valid()) {
-      tensor::kernels::QuantizedGemv(rec_->quantized_, hidden.data(),
-                                     logits_row.data());
-    } else {
-      output.ForwardRow(hidden.data(), logits_row.data());
-    }
+    output.ForwardRow(hidden.data(), logits_row.data());
     return SelectTopK(logits_row.data(), output.out_dim(), k);
   }
 
@@ -336,48 +329,6 @@ bool NeuralRecommender::Load(std::istream& is, const poi::PoiTable& pois,
   if (!nn::LoadParameters(is, params, error)) return false;
   pois_ = &pois;
   epoch_losses_.clear();
-  return true;
-}
-
-bool NeuralRecommender::QuantizeForServing(std::string* error) {
-  if (!output_) {
-    io::SetError(error, name() + ": QuantizeForServing() before Fit()/Load()");
-    return false;
-  }
-  quantized_ = tensor::kernels::QuantizeLinear(
-      output_->weight().data(), output_->bias().data(), config_.hidden_dim,
-      embedding_->vocab_size());
-  return true;
-}
-
-bool NeuralRecommender::SaveQuantizedSection(std::ostream& os,
-                                             std::string* error) const {
-  if (!quantized_.valid()) {
-    io::SetError(error, name() + ": no quantized tables to save");
-    return false;
-  }
-  tensor::kernels::SaveQuantizedLinear(os, quantized_);
-  if (!os) {
-    io::SetError(error, name() + ": I/O error writing quantized section");
-    return false;
-  }
-  return true;
-}
-
-bool NeuralRecommender::LoadQuantizedSection(std::istream& is,
-                                             std::string* error) {
-  std::string why;
-  if (!tensor::kernels::LoadQuantizedLinear(is, &quantized_, &why)) {
-    quantized_ = tensor::kernels::QuantizedLinear{};
-    io::SetError(error, name() + ": " + why);
-    return false;
-  }
-  if (output_ && (quantized_.in_dim != config_.hidden_dim ||
-                  quantized_.out_dim != embedding_->vocab_size())) {
-    quantized_ = tensor::kernels::QuantizedLinear{};
-    io::SetError(error, name() + ": quantized section shape mismatch");
-    return false;
-  }
   return true;
 }
 

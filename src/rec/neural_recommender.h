@@ -12,7 +12,6 @@
 #include "nn/st_clstm.h"
 #include "poi/features.h"
 #include "rec/recommender.h"
-#include "tensor/kernels/quant.h"
 #include "util/rng.h"
 
 namespace pa::rec {
@@ -61,17 +60,6 @@ class NeuralRecommender : public Recommender {
   bool Load(std::istream& is, const poi::PoiTable& pois,
             std::string* error = nullptr) override;
 
-  /// Int8 serving path: quantizes the output projection (the [hidden,
-  /// num_pois] layer that dominates TopK cost) per output column; the
-  /// recurrent state update stays float. Sessions then score through a
-  /// fused int8 GEMV instead of the tensor-op float path.
-  bool QuantizeForServing(std::string* error = nullptr) override;
-  bool has_quantized_serving() const override { return quantized_.valid(); }
-  bool SaveQuantizedSection(std::ostream& os,
-                            std::string* error = nullptr) const override;
-  bool LoadQuantizedSection(std::istream& is,
-                            std::string* error = nullptr) override;
-
   /// Mean training loss per epoch (tests assert it decreases).
   const std::vector<float>& epoch_losses() const { return epoch_losses_; }
 
@@ -101,10 +89,6 @@ class NeuralRecommender : public Recommender {
   std::unique_ptr<nn::LstmCell> lstm_;
   std::unique_ptr<nn::StClstmCell> st_clstm_;
   std::unique_ptr<nn::Linear> output_;
-
-  // Int8 serving tables for the output projection; empty (invalid) until
-  // QuantizeForServing or LoadQuantizedSection populates them.
-  tensor::kernels::QuantizedLinear quantized_;
 
   std::vector<float> epoch_losses_;
 };

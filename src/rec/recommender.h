@@ -69,36 +69,6 @@ class Recommender {
     if (error) *error = name() + " does not support Load()";
     return false;
   }
-
-  /// Builds the int8 serving tables from the fitted float parameters (an
-  /// artifact-publish-time conversion — the float model is untouched and
-  /// remains the bit-exact reference). After this returns true, sessions
-  /// may score through the quantized path and `SaveQuantizedSection` has
-  /// something to write. Default: unsupported.
-  virtual bool QuantizeForServing(std::string* error = nullptr) {
-    if (error) *error = name() + " does not support quantized serving";
-    return false;
-  }
-
-  /// Whether int8 serving tables are present (built or loaded).
-  virtual bool has_quantized_serving() const { return false; }
-
-  /// (De)serializes the quantized tables for the artifact container's
-  /// optional quantized section (format v2). These ride *outside* the
-  /// `Save`/`Load` payload so v1 artifacts and float-only payload readers
-  /// are unaffected.
-  virtual bool SaveQuantizedSection(std::ostream& os,
-                                    std::string* error = nullptr) const {
-    (void)os;
-    if (error) *error = name() + " has no quantized section";
-    return false;
-  }
-  virtual bool LoadQuantizedSection(std::istream& is,
-                                    std::string* error = nullptr) {
-    (void)is;
-    if (error) *error = name() + " has no quantized section";
-    return false;
-  }
 };
 
 }  // namespace pa::rec

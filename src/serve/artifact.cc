@@ -17,7 +17,7 @@ namespace {
 
 // "PASV" — Poi Augmentation SerVing artifact.
 constexpr uint32_t kMagic = 0x50415356;
-// v2 added the optional trailing quantized section; v1 files still load.
+// v2 added a trailer flag after the payload; v1 files still load.
 constexpr uint32_t kContainerVersion = 2;
 constexpr uint32_t kMinContainerVersion = 1;
 // Artifacts above this size are assumed corrupt rather than real (the
@@ -72,17 +72,8 @@ bool SaveArtifact(std::ostream& os, const rec::Recommender& model,
   AppendPod(body, static_cast<uint64_t>(payload.size()));
   body += payload;
 
-  // v2 trailer: the optional quantized-serving section.
-  if (model.has_quantized_serving()) {
-    std::ostringstream section_stream(std::ios::binary);
-    if (!model.SaveQuantizedSection(section_stream, error)) return false;
-    const std::string section = section_stream.str();
-    AppendPod(body, static_cast<uint8_t>(1));
-    AppendPod(body, static_cast<uint64_t>(section.size()));
-    body += section;
-  } else {
-    AppendPod(body, static_cast<uint8_t>(0));
-  }
+  // v2 trailer flag: 0, no legacy section follows.
+  AppendPod(body, static_cast<uint8_t>(0));
 
   const uint64_t checksum = nn::Checksum64(body.data(), body.size());
   os.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
@@ -163,7 +154,7 @@ bool LoadArtifact(std::istream& is, LoadedModel* out, std::string* error) {
   if (!ReadPod(p, end, &payload_len)) {
     return Fail(error, "truncated artifact (model payload)");
   }
-  // v1 ends exactly at the payload; v2 may carry the quantized trailer.
+  // v1 ends exactly at the payload; v2 follows it with the trailer flag.
   if (version == 1 ? payload_len != static_cast<uint64_t>(end - p)
                    : payload_len > static_cast<uint64_t>(end - p)) {
     return Fail(error, "truncated artifact (model payload)");
@@ -171,20 +162,20 @@ bool LoadArtifact(std::istream& is, LoadedModel* out, std::string* error) {
   const char* payload_begin = p;
   p += payload_len;
 
-  uint8_t quant_flag = 0;
-  uint64_t quant_len = 0;
-  const char* quant_begin = nullptr;
   if (version >= 2) {
+    uint8_t quant_flag = 0;
     if (!ReadPod(p, end, &quant_flag) || quant_flag > 1) {
       return Fail(error, "truncated artifact (quantized flag)");
     }
-    if (quant_flag == 1) {
-      if (!ReadPod(p, end, &quant_len) ||
-          quant_len != static_cast<uint64_t>(end - p)) {
-        return Fail(error, "truncated artifact (quantized section)");
-      }
-      quant_begin = p;
-    } else if (p != end) {
+    // Flag 1: an older publisher's int8 section fills the rest of the body.
+    // The checksum above already covered it; it is skipped and the model
+    // serves float.
+    uint64_t quant_len = 0;
+    if (quant_flag == 1 && (!ReadPod(p, end, &quant_len) ||
+                            quant_len != static_cast<uint64_t>(end - p))) {
+      return Fail(error, "truncated artifact (quantized section)");
+    }
+    if (quant_flag == 0 && p != end) {
       return Fail(error, "trailing bytes after artifact payload");
     }
   }
@@ -200,13 +191,6 @@ bool LoadArtifact(std::istream& is, LoadedModel* out, std::string* error) {
   std::unique_ptr<rec::Recommender> model =
       rec::LoadRecommender(name, payload, *pois, error);
   if (!model) return false;
-
-  if (quant_begin != nullptr) {
-    std::istringstream section(
-        std::string(quant_begin, static_cast<size_t>(quant_len)),
-        std::ios::binary);
-    if (!model->LoadQuantizedSection(section, error)) return false;
-  }
 
   out->name = std::move(name);
   out->pois = std::move(pois);

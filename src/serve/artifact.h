@@ -29,19 +29,19 @@ struct LoadedModel {
 ///   [i32 POI count] {f64 lat, f64 lng, i64 popularity} * count
 ///   [u64 payload length][payload bytes]      — Recommender::Save stream
 ///   [u8 quantized flag]                      — v2 only; if 1:
-///   [u64 section length][section bytes]      —   SaveQuantizedSection bytes
+///   [u64 section length][section bytes]      —   legacy int8 section
 ///
-/// v2 appends an *optional* quantized-serving section after the float
-/// payload: written when the model `has_quantized_serving()` (i.e. the
-/// publisher ran `QuantizeForServing`, e.g. `pa_serve publish --quantize`),
-/// flag 0 otherwise. v1 files are the same bytes minus the trailing
-/// section, and this loader accepts them unchanged; a v1 reader cannot see
-/// a v2 file's section but also cannot misparse it, because the version
-/// field precedes everything.
+/// `SaveArtifact` always writes flag 0. Publishers before int8 serving was
+/// retired wrote flag 1 and an int8 copy of the output projection after
+/// it; this loader checks that section's length against the bytes left,
+/// skips it and serves the float payload. v1 files are the same bytes
+/// minus the flag, and this loader accepts them unchanged; a v1 reader
+/// cannot misparse a v2 file, because the version field precedes
+/// everything.
 ///
-/// The checksum covers the name, POI block, model payload and quantized
-/// section, so any truncation or bit-flip after the header is caught before
-/// the payload parser runs. (The payload itself carries a second, nn-level
+/// The checksum covers the name, POI block, model payload and trailer, so
+/// any truncation or bit-flip after the header is caught before the
+/// payload parser runs. (The payload itself carries a second, nn-level
 /// checksum — redundant by design: the container check localises corruption
 /// to "the artifact file", the inner check to "the parameter blob".)
 bool SaveArtifact(std::ostream& os, const rec::Recommender& model,

@@ -4,13 +4,10 @@
 //
 //   pa_serve publish --store DIR --method LSTM [--csv FILE] [--seed N]
 //                    [--epochs-scale X] [--users N] [--pois N]
-//                    [--profile gowalla|brightkite] [--quantize 1]
+//                    [--profile gowalla|brightkite]
 //     Trains `--method` (on a CSV dataset, or on a synthetic snapshot when
 //     no CSV is given) and publishes it to the model store as the next
-//     version, marking it active. `--quantize 1` additionally builds the
-//     int8 serving tables and embeds them in the artifact (container v2
-//     optional section); serving then scores TopK through the fused int8
-//     GEMV instead of the float output projection.
+//     version, marking it active.
 //
 //   pa_serve list --store DIR
 //     Prints models, versions and the active version as JSON.
@@ -78,6 +75,9 @@
 //     thread-pool and tensor-pool metrics. "probe_delta" carries only what
 //     the probe itself contributed (snapshot-before/after delta), so the
 //     probe is separable from whatever the process counted before it.
+//
+// Each subcommand accepts exactly the flags listed for it above; any other
+// flag exits 2 before any work ("pa_serve: unknown flag --x for publish").
 //
 // All long-lived subcommands honor PA_OBS_TIMESERIES=<path> (+ optional
 // PA_OBS_SAMPLE_PERIOD_MS): a background sampler appends one NDJSON
@@ -227,15 +227,6 @@ int CmdPublish(const Flags& flags) {
   std::fprintf(stderr, "pa_serve: training %s on %d users / %d POIs...\n",
                model->name().c_str(), dataset.num_users(), dataset.num_pois());
   model->Fit(dataset.sequences, dataset.pois);
-
-  if (flags.GetInt("quantize", 0) != 0) {
-    std::string qerror;
-    if (!model->QuantizeForServing(&qerror)) {
-      std::fprintf(stderr, "pa_serve: --quantize failed: %s\n", qerror.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "pa_serve: built int8 serving tables\n");
-  }
 
   serve::ModelStore store(flags.Get("store", "model_store"));
   std::string error;
@@ -570,23 +561,55 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
+/// A subcommand and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"publish", CmdPublish,
+       {"store", "method", "csv", "seed", "epochs-scale", "users", "pois",
+        "profile"}},
+      {"list", CmdList, {"store"}},
+      {"activate", CmdActivate, {"store", "model", "version"}},
+      {"serve", CmdServe,
+       {"store", "model", "version", "deadline-ms", "shards",
+        "queue-capacity", "metrics-port"}},
+      {"listen", CmdListen,
+       {"store", "model", "version", "port", "shards", "deadline-ms",
+        "queue-capacity", "idle-timeout-ms", "metrics-port"}},
+      {"slowz", CmdSlowz, {"port"}},
+      {"stats", CmdStats, {"store", "model", "version", "probe"}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  const auto& commands = Commands();
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [&name](const Command& c) { return name == c.name; });
+  if (command == commands.end()) return Usage();
   Flags flags;
   if (!ParseFlags(argc, argv, 2, &flags)) return 2;
+  for (const auto& [key, value] : flags.values) {
+    if (std::find(command->flags.begin(), command->flags.end(), key) ==
+        command->flags.end()) {
+      std::fprintf(stderr, "pa_serve: unknown flag --%s for %s\n",
+                   key.c_str(), command->name);
+      return 2;
+    }
+  }
   // PA_OBS_TIMESERIES=<path>: continuous registry sampling for any
   // subcommand (most useful under `serve`, but `publish` training runs
   // produce a time series too).
   obs::TelemetrySampler::MaybeStartFromEnv();
-  if (command == "publish") return CmdPublish(flags);
-  if (command == "list") return CmdList(flags);
-  if (command == "activate") return CmdActivate(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "listen") return CmdListen(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "slowz") return CmdSlowz(flags);
-  return Usage();
+  return command->run(flags);
 }

@@ -21,12 +21,12 @@ namespace pa::tensor::kernels {
 ///  * The row reductions (`softmax`, `log_softmax`) allow `out` to alias
 ///    `a` exactly, and treat `n <= 0` as a no-op: this is the shared
 ///    empty-row guard — callers never read `row[0]` of a zero-width row.
-///  * `matmul_block`, `matmul_grad_a`, `matmul_grad_b` and `gemv_i8`
-///    require their output disjoint from the inputs.
+///  * `matmul_block`, `matmul_grad_a` and `matmul_grad_b` require their
+///    output disjoint from the inputs.
 ///
 /// Bit-identity contract (asserted by tests/tensor_kernels_test.cc):
 ///  * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_a/
-///    matmul_grad_b/gemv_i8 are bit-identical across all tables: the
+///    matmul_grad_b are bit-identical across all tables: the
 ///    per-element arithmetic is the same source compiled without FMA
 ///    contraction, so lane width never changes a result.
 ///  * sigmoid/tanh/exp/softmax/log_softmax route through expf. The scalar
@@ -77,14 +77,6 @@ struct KernelTable {
                         int k, int n);
   void (*matmul_grad_b)(const float* a, const float* dy, float* db, int m,
                         int k, int n);
-
-  // Row-scaled int8 GEMV for the quantized serving path:
-  //   out[j] = dx * scales[j] * (sum_p qx[p] * qw[p * n + j]) + bias[j]
-  // with qw laid out [k, n] like the float weight matrix and one scale per
-  // output column. The accumulation is exact int32 arithmetic, so this
-  // entry is bit-identical across all tables.
-  void (*gemv_i8)(const int8_t* qx, const int8_t* qw, const float* scales,
-                  float dx, const float* bias, float* out, int k, int n);
 
   // --- Fused single-pass entries for the recurrent-cell hot chains. Each
   // one computes, per element, the *exact* FP sequence of the unfused op

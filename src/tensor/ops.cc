@@ -354,43 +354,6 @@ Tensor LerpOp(const Tensor& mask, const Tensor& a, const Tensor& b,
                     });
 }
 
-Tensor AxpbyOp(const Tensor& a, float alpha, const Tensor& b, float beta,
-               bool reuse_a, bool reuse_b) {
-  if (!(a.shape() == b.shape())) {
-    Fatal("Axpby: shapes must match, got " + a.shape().ToString() + " and " +
-          b.shape().ToString());
-  }
-  const int64_t numel = a.numel();
-  const bool inference = internal::InferenceModeActive();
-  const kernels::KernelTable& kt = kernels::Active();
-  if (inference) {
-    if (reuse_a && ReusableTemp(a, true)) {
-      kt.axpby(a.data(), alpha, b.data(), beta, a.impl()->data.data(), numel);
-      return Tensor::FromImpl(a.impl());
-    }
-    if (reuse_b && ReusableTemp(b, true)) {
-      kt.axpby(a.data(), alpha, b.data(), beta, b.impl()->data.data(), numel);
-      return Tensor::FromImpl(b.impl());
-    }
-    std::vector<float> out = ForwardBuffer(numel, true);
-    kt.axpby(a.data(), alpha, b.data(), beta, out.data(), numel);
-    return MakeInferenceResult(a.shape(), std::move(out));
-  }
-  std::vector<float> out = ForwardBuffer(numel, false);
-  kt.axpby(a.data(), alpha, b.data(), beta, out.data(), numel);
-  auto ai = a.impl();
-  auto bi = b.impl();
-  return MakeResult(a.shape(), std::move(out), {a, b},
-                    [ai, bi, alpha, beta](TensorImpl& y) {
-                      Accumulate(ai, [&](int64_t i) {
-                        return y.grad[i] * alpha;
-                      });
-                      Accumulate(bi, [&](int64_t i) {
-                        return y.grad[i] * beta;
-                      });
-                    });
-}
-
 }  // namespace
 
 Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b) {
@@ -401,16 +364,6 @@ Tensor Lerp(const Tensor& mask, Tensor&& a, const Tensor& b) {
 }
 Tensor Lerp(const Tensor& mask, const Tensor& a, Tensor&& b) {
   return LerpOp(mask, a, b, false, true);
-}
-
-Tensor Axpby(const Tensor& a, float alpha, const Tensor& b, float beta) {
-  return AxpbyOp(a, alpha, b, beta, false, false);
-}
-Tensor Axpby(Tensor&& a, float alpha, const Tensor& b, float beta) {
-  return AxpbyOp(a, alpha, b, beta, true, false);
-}
-Tensor Axpby(const Tensor& a, float alpha, Tensor&& b, float beta) {
-  return AxpbyOp(a, alpha, b, beta, false, true);
 }
 
 // The whole product runs on the calling thread: parallelism lives at coarser

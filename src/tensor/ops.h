@@ -51,15 +51,10 @@ Tensor AddScalar(Tensor&& a, float alpha);
 /// temporaries. Differentiable in all three arguments
 /// (da = mask·dy, db = (1-mask)·dy, dmask = (a-b)·dy).
 Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b);
-/// Fused scaled sum: `a*alpha + b*beta` elementwise, same shapes only.
-/// Bit-identical to `Add(Scale(a, alpha), Scale(b, beta))` in one pass.
-Tensor Axpby(const Tensor& a, float alpha, const Tensor& b, float beta);
 /// Rvalue forms: overwrite the dying operand's storage under inference
 /// mode (the blend target is usually the previous state being replaced).
 Tensor Lerp(const Tensor& mask, Tensor&& a, const Tensor& b);
 Tensor Lerp(const Tensor& mask, const Tensor& a, Tensor&& b);
-Tensor Axpby(Tensor&& a, float alpha, const Tensor& b, float beta);
-Tensor Axpby(const Tensor& a, float alpha, Tensor&& b, float beta);
 
 /// Matrix product of `[m, k]` and `[k, n]`.
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -1,11 +1,8 @@
-// Tests for the PA-Seq2Seq extensions: beam-search decoding, checkpointing,
-// and the sessionization utility.
+// Tests for the PA-Seq2Seq extensions: checkpointing.
 
 #include <gtest/gtest.h>
 
 #include "augment/pa_seq2seq.h"
-#include "poi/sessions.h"
-#include "util/rng.h"
 
 namespace pa::augment {
 namespace {
@@ -51,53 +48,6 @@ MaskedSequence DroppedCycle() {
   return MakeMaskedSequence(observed, 3 * kHour);
 }
 
-TEST(ImputeBeamTest, ReturnsOnePoiPerMissingSlot) {
-  poi::PoiTable pois = CyclePois();
-  PaSeq2Seq model(pois, FastConfig());
-  MaskedSequence masked = DroppedCycle();
-  auto beam = model.ImputeBeam(masked, 3);
-  EXPECT_EQ(static_cast<int>(beam.size()),
-            poi::CountMissing(masked.timeline));
-  for (int32_t id : beam) {
-    EXPECT_GE(id, 0);
-    EXPECT_LT(id, pois.size());
-  }
-}
-
-TEST(ImputeBeamTest, WidthOneMatchesMissingCountAndStaysValid) {
-  poi::PoiTable pois = CyclePois();
-  PaSeq2SeqConfig config = FastConfig();
-  PaSeq2Seq model(pois, config);
-  model.Fit(CycleTrainingData(3, 50));
-  MaskedSequence masked = DroppedCycle();
-  auto beam1 = model.ImputeBeam(masked, 1);
-  auto beam4 = model.ImputeBeam(masked, 4);
-  ASSERT_EQ(beam1.size(), beam4.size());
-}
-
-TEST(ImputeBeamTest, TrainedBeamRecoversCycle) {
-  poi::PoiTable pois = CyclePois();
-  PaSeq2SeqConfig config = FastConfig();
-  config.stage3_epochs = 10;
-  PaSeq2Seq model(pois, config);
-  model.Fit(CycleTrainingData(4, 60));
-  MaskedSequence masked = DroppedCycle();
-  auto beam = model.ImputeBeam(masked, 3);
-  int correct = 0;
-  for (int32_t id : beam) {
-    if (id == 2) ++correct;  // Every dropped visit was POI 2.
-  }
-  EXPECT_GT(static_cast<double>(correct) / beam.size(), 0.7);
-}
-
-TEST(ImputeBeamTest, NoMissingSlotsReturnsEmpty) {
-  poi::PoiTable pois = CyclePois();
-  PaSeq2Seq model(pois, FastConfig());
-  poi::CheckinSequence dense = {{0, 0, 0, false}, {0, 1, 3 * kHour, false}};
-  EXPECT_TRUE(model.ImputeBeam(MakeMaskedSequence(dense, 3 * kHour), 3)
-                  .empty());
-}
-
 TEST(CheckpointTest, SaveLoadRoundTripPreservesBehaviour) {
   poi::PoiTable pois = CyclePois();
   PaSeq2SeqConfig config = FastConfig();
@@ -129,75 +79,3 @@ TEST(CheckpointTest, LoadRejectsMismatchedArchitecture) {
 
 }  // namespace
 }  // namespace pa::augment
-
-namespace pa::poi {
-namespace {
-
-constexpr int64_t kHour = 3600;
-
-TEST(SessionsTest, SplitsOnGaps) {
-  CheckinSequence seq = {{0, 1, 0}, {0, 2, kHour}, {0, 3, 2 * kHour},
-                        {0, 4, 30 * kHour},  // > gap.
-                        {0, 5, 31 * kHour}};
-  auto sessions = SplitSessions(seq, 6 * kHour);
-  ASSERT_EQ(sessions.size(), 2u);
-  EXPECT_EQ(sessions[0].size(), 3u);
-  EXPECT_EQ(sessions[1].size(), 2u);
-  EXPECT_EQ(sessions[1][0].poi, 4);
-}
-
-TEST(SessionsTest, SingleSessionWhenDense) {
-  CheckinSequence seq = {{0, 1, 0}, {0, 2, kHour}};
-  EXPECT_EQ(SplitSessions(seq, 6 * kHour).size(), 1u);
-}
-
-TEST(SessionsTest, EmptyInput) {
-  EXPECT_TRUE(SplitSessions({}, kHour).empty());
-  SessionStats stats = ComputeSessionStats({});
-  EXPECT_EQ(stats.num_sessions, 0);
-}
-
-TEST(SessionsTest, EveryCheckinItsOwnSessionAtZeroGap) {
-  CheckinSequence seq = {{0, 1, 0}, {0, 2, 10}, {0, 3, 20}};
-  EXPECT_EQ(SplitSessions(seq, 5).size(), 3u);
-}
-
-TEST(SessionsTest, StatsComputation) {
-  CheckinSequence seq = {{0, 1, 0}, {0, 2, kHour},
-                        {0, 3, 40 * kHour}, {0, 4, 41 * kHour},
-                        {0, 5, 42 * kHour}};
-  auto sessions = SplitSessions(seq, 6 * kHour);
-  SessionStats stats = ComputeSessionStats(sessions);
-  EXPECT_EQ(stats.num_sessions, 2);
-  EXPECT_DOUBLE_EQ(stats.mean_length, 2.5);
-  EXPECT_EQ(stats.max_length, 3);
-  EXPECT_DOUBLE_EQ(stats.mean_span_hours, (1.0 + 2.0) / 2.0);
-}
-
-TEST(SessionsTest, SessionsPartitionTheSequence) {
-  util::Rng rng(3);
-  CheckinSequence seq;
-  int64_t t = 0;
-  for (int i = 0; i < 200; ++i) {
-    t += static_cast<int64_t>(kHour * rng.Uniform(0.5, 20.0));
-    seq.push_back({0, i % 7, t});
-  }
-  auto sessions = SplitSessions(seq, 6 * kHour);
-  size_t total = 0;
-  for (const auto& s : sessions) total += s.size();
-  EXPECT_EQ(total, seq.size());
-  // Gaps inside sessions all <= threshold; gaps between sessions all >.
-  for (const auto& s : sessions) {
-    for (size_t i = 1; i < s.size(); ++i) {
-      EXPECT_LE(s[i].timestamp - s[i - 1].timestamp, 6 * kHour);
-    }
-  }
-  for (size_t k = 1; k < sessions.size(); ++k) {
-    EXPECT_GT(sessions[k].front().timestamp -
-                  sessions[k - 1].back().timestamp,
-              6 * kHour);
-  }
-}
-
-}  // namespace
-}  // namespace pa::poi

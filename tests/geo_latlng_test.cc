@@ -1,6 +1,7 @@
 #include "geo/latlng.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,15 +95,11 @@ TEST(InterpolateTest, ClampsFraction) {
   EXPECT_NEAR(p.lng, 10.0, 1e-9);
 }
 
-TEST(BoundingBoxTest, ContainsAndIntersects) {
+TEST(BoundingBoxTest, ContainsIsBoundaryInclusive) {
   BoundingBox box{0.0, 0.0, 10.0, 10.0};
   EXPECT_TRUE(box.Contains({5.0, 5.0}));
   EXPECT_TRUE(box.Contains({0.0, 10.0}));  // Boundary inclusive.
   EXPECT_FALSE(box.Contains({-0.1, 5.0}));
-  BoundingBox other{9.0, 9.0, 12.0, 12.0};
-  EXPECT_TRUE(box.Intersects(other));
-  BoundingBox disjoint{11.0, 11.0, 12.0, 12.0};
-  EXPECT_FALSE(box.Intersects(disjoint));
 }
 
 TEST(BoundingBoxTest, EmptyExtendsToPoint) {
@@ -133,25 +130,34 @@ TEST(BoundingBoxTest, MinDistanceIsLowerBound) {
     EXPECT_LE(box.MinDistanceKm(outside),
               HaversineKm(outside, inside) + 1e-6);
   }
-}
 
-TEST(BoundingBoxTest, BoundingBoxAroundCoversCircle) {
-  const LatLng center{45.0, 7.0};
-  const double radius = 25.0;
-  BoundingBox box = BoundingBoxAround(center, radius);
-  util::Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double angle = rng.Uniform(0, 2 * 3.14159265358979);
-    // Points just inside the radius must be inside the box.
-    const double r = radius * 0.99;
-    const double dlat = (r / kEarthRadiusKm) * 180.0 / 3.14159265358979;
-    LatLng p{center.lat + dlat * std::sin(angle),
-             center.lng + dlat * std::cos(angle) /
-                              std::cos(45.0 * 3.14159265358979 / 180.0)};
-    if (HaversineKm(center, p) <= radius) {
-      EXPECT_TRUE(box.Contains(p)) << p.ToString();
-    }
+  // A box beside a point at 60N. The nearest point of its west edge lies
+  // poleward of p (the foot of the perpendicular from p to the edge's
+  // meridian), so p's latitude clamped into the box is not the nearest
+  // point, and the haversine to it overstates the distance by ~0.2 km.
+  const LatLng p{60.0, 0.0};
+  const BoundingBox beside{59.0, 5.0, 61.0, 5.2};
+  const double kPi = 3.14159265358979323846;
+  const double foot_lat =
+      std::atan(std::tan(60.0 * kPi / 180.0) / std::cos(5.0 * kPi / 180.0)) *
+      180.0 / kPi;
+  const double bound = beside.MinDistanceKm(p);
+  EXPECT_NEAR(bound, HaversineKm(p, {foot_lat, 5.0}), 1e-6);
+  std::vector<LatLng> edge = {{foot_lat, 5.0}, {60.094499, 5.0}};
+  for (int i = 0; i <= 200; ++i) edge.push_back({59.0 + 0.01 * i, 5.0});
+  for (const LatLng& q : edge) {
+    EXPECT_LE(bound, HaversineKm(p, q)) << q.ToString();
   }
+  for (int i = 0; i < 100; ++i) {
+    const LatLng q{rng.Uniform(59.0, 61.0), rng.Uniform(5.0, 5.2)};
+    EXPECT_LE(bound, HaversineKm(p, q)) << q.ToString();
+  }
+  // North of the box, the latitude gap is the bound, exact up to the
+  // rounding shade.
+  const LatLng north{62.0, 5.1};
+  EXPECT_LE(beside.MinDistanceKm(north), HaversineKm(north, {61.0, 5.1}));
+  EXPECT_NEAR(beside.MinDistanceKm(north), HaversineKm(north, {61.0, 5.1}),
+              1e-9);
 }
 
 }  // namespace

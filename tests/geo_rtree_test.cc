@@ -45,6 +45,29 @@ std::vector<int32_t> BruteRadius(const std::vector<RTree::Entry>& entries,
   return ids;
 }
 
+// A leaf beside p = (60, 0) whose west edge's nearest point to p, the last
+// entry, lies poleward of p: 277.7230 km away, while the haversine to p's
+// latitude clamped into the box reads 277.9215 km.
+const LatLng kHighLatQuery{60.0, 0.0};
+std::vector<RTree::Entry> HighLatitudeLeaf() {
+  return {{{59.0, 5.0}, 0}, {{61.0, 5.2}, 1}, {{60.094499, 5.0}, 2}};
+}
+
+// That leaf, a nearer-looking point on the other side (277.8200 km) and
+// four padding points on each side: two leaves, one per side. (The ninth
+// insert splits the root leaf with five points east and four west.)
+std::vector<RTree::Entry> HighLatitudeTwoLeaves() {
+  std::vector<RTree::Entry> entries = HighLatitudeLeaf();
+  for (const LatLng& q : {LatLng{60.0, -4.998170}, LatLng{59.5, -5.1},
+                          LatLng{60.5, -5.1}, LatLng{59.2, -5.2},
+                          LatLng{59.5, 5.1}, LatLng{60.5, 5.1},
+                          LatLng{60.8, -5.2}, LatLng{59.2, 5.2},
+                          LatLng{60.8, 5.2}}) {
+    entries.push_back({q, static_cast<int32_t>(entries.size())});
+  }
+  return entries;
+}
+
 TEST(RTreeTest, EmptyTreeQueries) {
   RTree tree;
   EXPECT_TRUE(tree.empty());
@@ -91,6 +114,24 @@ TEST(RTreeTest, NearestMatchesBruteForce) {
                   HaversineKm(p, entries[expected[i]].point), 1e-9);
     }
   }
+
+  // A bound that clamps p into the box puts the east leaf behind the west
+  // point, so Nearest would return that farther point first.
+  const std::vector<RTree::Entry> two_leaves = HighLatitudeTwoLeaves();
+  RTree high = RTree::Build(two_leaves);
+  ASSERT_EQ(high.Height(), 2);
+  for (int k = 1; k <= static_cast<int>(two_leaves.size()); ++k) {
+    auto got = high.Nearest(kHighLatQuery, k);
+    auto expected = BruteNearest(two_leaves, kHighLatQuery, k);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      // The padding is mirrored east to west, so compare distances.
+      EXPECT_EQ(got[i].distance_km,
+                HaversineKm(kHighLatQuery, two_leaves[expected[i]].point))
+          << "k=" << k << " rank " << i;
+    }
+  }
+  EXPECT_EQ(high.Nearest(kHighLatQuery, 1).front().id, 2);
 }
 
 TEST(RTreeTest, NearestResultsSortedAscending) {
@@ -114,6 +155,53 @@ TEST(RTreeTest, WithinRadiusMatchesBruteForce) {
     std::sort(got_ids.begin(), got_ids.end());
     EXPECT_EQ(got_ids, BruteRadius(entries, p, radius)) << "r=" << radius;
   }
+
+  // The leaf's nearest entry lies inside the radius, and a bound that
+  // clamps p into the box reads 0.19 km beyond it.
+  for (const auto& high_entries :
+       {HighLatitudeLeaf(), HighLatitudeTwoLeaves()}) {
+    RTree high = RTree::Build(high_entries);
+    const double radius = 277.7330;
+    const std::vector<int32_t> want =
+        BruteRadius(high_entries, kHighLatQuery, radius);
+    ASSERT_EQ(want, std::vector<int32_t>{2});
+    std::vector<int32_t> got;
+    for (const auto& n : high.WithinRadius(kHighLatQuery, radius)) {
+      got.push_back(n.id);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(high.IdsWithinRadius(kHighLatQuery, radius), want);
+  }
+
+  // Radius exactly HaversineKm(p, e), with e on the near edge of its leaf
+  // box and fillers behind it: the box bound must not round above that
+  // distance. At these 0.39904 degree offsets the unshaded latitude gap
+  // (or, on the equator, longitude gap) computes larger than the
+  // haversine.
+  const LatLng boundary[][2] = {
+      {{40.0, -100.0}, {40.39904, -100.0}},  // Due north.
+      {{40.0, -100.0}, {40.0, -99.60096}},   // Due east.
+      {{0.0, 10.0}, {0.0, 10.39904}},        // On the equator.
+      {{60.0, 0.0}, {60.39904, 0.0}},        // Due north at 60N.
+      {{60.0, 0.0}, {60.094499, 5.0}},       // The meridian edge's foot.
+  };
+  for (const auto& [p, e] : boundary) {
+    const double dlat = e.lat - p.lat, dlng = e.lng - p.lng;
+    std::vector<RTree::Entry> edge = {{e, 0}};
+    for (int i = 1; i <= 3; ++i) {
+      edge.push_back({{e.lat + (dlat == 0.0 ? 0.1 : dlat) * i * 0.1,
+                       e.lng + (dlng == 0.0 ? 0.1 : dlng) * i * 0.1},
+                      i});
+    }
+    RTree tree = RTree::Build(edge);
+    const double radius = HaversineKm(p, e);
+    const std::vector<int32_t> want = BruteRadius(edge, p, radius);
+    ASSERT_EQ(want, std::vector<int32_t>{0}) << e.ToString();
+    std::vector<int32_t> got;
+    for (const auto& n : tree.WithinRadius(p, radius)) got.push_back(n.id);
+    EXPECT_EQ(got, want) << e.ToString();
+    EXPECT_EQ(tree.IdsWithinRadius(p, radius), want) << e.ToString();
+  }
 }
 
 TEST(RTreeTest, IdsWithinRadiusMatchesWithinRadiusIdSet) {
@@ -135,22 +223,6 @@ TEST(RTreeTest, IdsWithinRadiusMatchesWithinRadiusIdSet) {
     }
   }
   EXPECT_FALSE(tree.IdsWithinRadius(entries[17].point, 0.0).empty());
-}
-
-TEST(RTreeTest, InBoxMatchesScan) {
-  util::Rng rng(5);
-  auto entries = RandomEntries(200, rng);
-  RTree tree = RTree::Build(entries);
-  BoundingBox box{40.5, -99.5, 41.5, -98.5};
-  auto got = tree.InBox(box);
-  std::vector<int32_t> got_ids;
-  for (const auto& e : got) got_ids.push_back(e.id);
-  std::sort(got_ids.begin(), got_ids.end());
-  std::vector<int32_t> expected;
-  for (const auto& e : entries) {
-    if (box.Contains(e.point)) expected.push_back(e.id);
-  }
-  EXPECT_EQ(got_ids, expected);
 }
 
 TEST(RTreeTest, KLargerThanSizeReturnsAll) {

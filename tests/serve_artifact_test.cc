@@ -152,7 +152,7 @@ TEST(ArtifactTest, LoadRejectsBadMagic) {
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
-// --- Container v2: the optional quantized-serving section. ------------------
+// --- Container v2: the trailer flag and the legacy int8 section. -----------
 
 // Rewrites an artifact byte string with a mutated body, fixing up the header
 // checksum so only the intended difference reaches the parser.
@@ -166,22 +166,55 @@ std::string RepackArtifact(const std::string& bytes, uint32_t version,
   return out;
 }
 
-TEST(ArtifactQuantizedTest, QuantizedSectionRoundTrips) {
+// An older publisher's `--quantize` wrote flag 1, a u64 length, then an int8
+// copy of the output projection: i32 in_dim, i32 out_dim, one f32 scale and
+// one f32 bias per column, then in_dim * out_dim int8 weights.
+std::string LegacyQuantizedTwin(const std::string& bytes,
+                                int64_t length_error) {
+  const int32_t in_dim = 24, out_dim = 8;  // LSTM hidden 24, 8 POIs.
+  std::string section;
+  section.append(reinterpret_cast<const char*>(&in_dim), sizeof(in_dim));
+  section.append(reinterpret_cast<const char*>(&out_dim), sizeof(out_dim));
+  section.append(2 * sizeof(float) * out_dim, '\x3f');
+  section.append(static_cast<size_t>(in_dim) * out_dim, '\x05');
+  const uint64_t length = section.size() + length_error;
+  std::string body = bytes.substr(16);
+  body.back() = 1;  // The flag.
+  body.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  body += section;
+  return RepackArtifact(bytes, 2, std::move(body));
+}
+
+TEST(ArtifactQuantizedTest, LegacyQuantizedSectionIsSkippedAndServesFloat) {
   poi::PoiTable pois = SmallPois();
   auto model = rec::MakeRecommender("LSTM", 7, 0.2);
   model->Fit(CycleData(3, 40), pois);
-  std::string error;
-  ASSERT_TRUE(model->QuantizeForServing(&error)) << error;
-  ASSERT_TRUE(model->has_quantized_serving());
-
   std::stringstream artifact(std::ios::in | std::ios::out | std::ios::binary);
+  std::string error;
   ASSERT_TRUE(SaveArtifact(artifact, *model, pois, &error)) << error;
-  LoadedModel loaded;
-  ASSERT_TRUE(LoadArtifact(artifact, &loaded, &error)) << error;
-  // The quantized tables came back, and the int8 TopK path reproduces the
-  // publisher's rankings exactly (same tables, exact-int32 kernel).
-  EXPECT_TRUE(loaded.model->has_quantized_serving());
-  EXPECT_EQ(TopKTrace(*model, 1, 12), TopKTrace(*loaded.model, 1, 12));
+  const std::string bytes = artifact.str();
+
+  LoadedModel plain;
+  ASSERT_TRUE(LoadArtifact(artifact, &plain, &error)) << error;
+  std::stringstream twin(LegacyQuantizedTwin(bytes, 0),
+                         std::ios::in | std::ios::out | std::ios::binary);
+  LoadedModel legacy;
+  ASSERT_TRUE(LoadArtifact(twin, &legacy, &error)) << error;
+  EXPECT_EQ(legacy.name, plain.name);
+  for (int32_t user = 0; user < 3; ++user) {
+    EXPECT_EQ(TopKTrace(*legacy.model, user, 12),
+              TopKTrace(*plain.model, user, 12))
+        << "user " << user;
+  }
+
+  // The section must fill the rest of the body exactly.
+  for (int64_t length_error : {-1, 1}) {
+    std::stringstream bad(LegacyQuantizedTwin(bytes, length_error),
+                          std::ios::in | std::ios::out | std::ios::binary);
+    EXPECT_FALSE(LoadArtifact(bad, &legacy, &error)) << length_error;
+    EXPECT_EQ(error, "truncated artifact (quantized section)")
+        << length_error;
+  }
 }
 
 TEST(ArtifactQuantizedTest, UnquantizedModelsWriteFlagZero) {
@@ -195,7 +228,6 @@ TEST(ArtifactQuantizedTest, UnquantizedModelsWriteFlagZero) {
   ASSERT_EQ(bytes.back(), '\0');  // v2 trailer: quantized flag 0.
   LoadedModel loaded;
   ASSERT_TRUE(LoadArtifact(artifact, &loaded, &error)) << error;
-  EXPECT_FALSE(loaded.model->has_quantized_serving());
 }
 
 TEST(ArtifactQuantizedTest, V1ArtifactsStillLoad) {
@@ -217,7 +249,6 @@ TEST(ArtifactQuantizedTest, V1ArtifactsStillLoad) {
                        std::ios::in | std::ios::out | std::ios::binary);
   LoadedModel loaded;
   ASSERT_TRUE(LoadArtifact(v1, &loaded, &error)) << error;
-  EXPECT_FALSE(loaded.model->has_quantized_serving());
   EXPECT_EQ(TopKTrace(*model, 0, 8), TopKTrace(*loaded.model, 0, 8));
 }
 

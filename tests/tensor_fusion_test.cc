@@ -1,5 +1,5 @@
 // Fusion-layer suite: the fused kernels (add3/lerp/axpby/cell_update/
-// tanh_mul/gate_act), the Lerp/Axpby ops, the explicit fused forwards
+// tanh_mul/gate_act), the Lerp op, the explicit fused forwards
 // (`ForwardRows`) of the RNN, ST-RNN, GRU, LSTM and ST-CLSTM cells, and the
 // raw-row forwards of the residual BiLSTM encoder and local attention.
 //
@@ -176,9 +176,9 @@ TEST(FusedKernelTest, GateActMatchesPerSliceActivationsAndAliasesInPlace) {
 }
 
 // ---------------------------------------------------------------------------
-// Lerp / Axpby ops: forward composition identity + gradients.
+// Lerp op: forward composition identity + gradients.
 
-TEST(LerpAxpbyOpTest, ForwardMatchesCompositionBitwise) {
+TEST(LerpOpTest, ForwardMatchesCompositionBitwise) {
   util::Rng rng(21);
   Tensor mask = tensor::Sigmoid(tensor::UniformInit({1, 33}, 2.0f, rng));
   Tensor a = tensor::UniformInit({1, 33}, 3.0f, rng);
@@ -192,16 +192,9 @@ TEST(LerpAxpbyOpTest, ForwardMatchesCompositionBitwise) {
   EXPECT_EQ(std::memcmp(lerp.data(), lerp_ref.data(),
                         sizeof(float) * static_cast<size_t>(lerp.numel())),
             0);
-
-  Tensor axpby = tensor::Axpby(a, 0.25f, b, 0.75f);
-  Tensor axpby_ref =
-      tensor::Add(tensor::Scale(a, 0.25f), tensor::Scale(b, 0.75f));
-  EXPECT_EQ(std::memcmp(axpby.data(), axpby_ref.data(),
-                        sizeof(float) * static_cast<size_t>(axpby.numel())),
-            0);
 }
 
-TEST(LerpAxpbyOpTest, GradientsPassFiniteDifferences) {
+TEST(LerpOpTest, GradientsPassFiniteDifferences) {
   util::Rng rng(22);
   Tensor mask = tensor::UniformInit({2, 5}, 0.4f, rng);
   Tensor a = tensor::UniformInit({2, 5}, 1.0f, rng);
@@ -209,9 +202,6 @@ TEST(LerpAxpbyOpTest, GradientsPassFiniteDifferences) {
   auto lerp_res = tensor::CheckGradients(
       [=] { return tensor::Sum(tensor::Lerp(mask, a, b)); }, {mask, a, b});
   EXPECT_TRUE(lerp_res.ok) << lerp_res.worst_location;
-  auto axpby_res = tensor::CheckGradients(
-      [=] { return tensor::Sum(tensor::Axpby(a, 0.6f, b, -1.2f)); }, {a, b});
-  EXPECT_TRUE(axpby_res.ok) << axpby_res.worst_location;
 }
 
 // ---------------------------------------------------------------------------
@@ -284,28 +274,6 @@ TEST(FusedCellTest, LstmThreeWayParity) {
         });
       },
       "lstm");
-}
-
-TEST(FusedCellTest, LstmZoneoutEvalThreeWayParity) {
-  util::Rng rng(32);
-  nn::LstmCell cell(10, 12, rng);
-  nn::ZoneoutConfig zoneout;
-  zoneout.hidden_prob = 0.1f;
-  zoneout.cell_prob = 0.05f;
-  util::Rng step_rng(1);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.ForwardZoneout(StepInput(10, t, 2), state, zoneout,
-                                      /*training=*/false, step_rng);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm_zoneout_eval");
 }
 
 TEST(FusedCellTest, StClstmThreeWayParity) {

@@ -4,12 +4,11 @@
 // of any vector width — and held to the contract documented in kernels.h:
 //
 //   * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_a/
-//     matmul_grad_b/gemv_i8 are BIT-IDENTICAL across all tables (memcmp,
+//     matmul_grad_b are BIT-IDENTICAL across all tables (memcmp,
 //     NaN bits included).
 //   * sigmoid/tanh/exp/softmax/log_softmax: SIMD tables are bit-identical
 //     to each other, and within a small documented tolerance of the scalar
 //     (libm) table; edge semantics (NaN propagation, saturation) match.
-//   * int8 quantize/dequant error is bounded by half a quantization step.
 //
 // The suite runs under whatever PA_SIMD the harness sets, but tests tables
 // explicitly via ScalarTable()/GenericTable()/Avx2Table(), so scripts/
@@ -26,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/kernels/kernels.h"
-#include "tensor/kernels/quant.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -372,31 +370,6 @@ TEST(KernelBitIdentityTest, MatMulGradMatchesNaiveReference) {
   }
 }
 
-TEST(KernelBitIdentityTest, GemvI8AcrossAllTables) {
-  const int k = 24, n = 300;  // Straddles the 256-column chunk boundary.
-  std::vector<int8_t> qx(static_cast<size_t>(k));
-  std::vector<int8_t> qw(static_cast<size_t>(k) * n);
-  uint32_t state = 77;
-  auto next_i8 = [&state] {
-    state = state * 1664525u + 1013904223u;
-    return static_cast<int8_t>(static_cast<int32_t>(state >> 24) - 128);
-  };
-  for (auto& v : qx) v = next_i8();
-  for (auto& v : qw) v = next_i8();
-  const std::vector<float> scales = FiniteInput(n, 6);
-  const std::vector<float> bias = FiniteInput(n, 7);
-  const std::vector<const KernelTable*> tables = AllTables();
-  std::vector<float> ref(static_cast<size_t>(n));
-  tables[0]->gemv_i8(qx.data(), qw.data(), scales.data(), 0.037f, bias.data(),
-                     ref.data(), k, n);
-  for (size_t t = 1; t < tables.size(); ++t) {
-    std::vector<float> alt(static_cast<size_t>(n));
-    tables[t]->gemv_i8(qx.data(), qw.data(), scales.data(), 0.037f,
-                       bias.data(), alt.data(), k, n);
-    ExpectBitIdentical(ref, alt, std::string("gemv_i8 vs ") + tables[t]->name);
-  }
-}
-
 TEST(KernelExpFamilyTest, SimdTablesBitIdenticalToEachOther) {
   const std::vector<const KernelTable*> simd = SimdTables();
   if (simd.size() < 2) GTEST_SKIP() << "only one SIMD table on this host";
@@ -518,115 +491,6 @@ TEST(KernelRowReductionTest, ZeroWidthRowsAreANoOp) {
   EXPECT_EQ(s.rows(), 2);
   EXPECT_EQ(s.cols(), 0);
   EXPECT_EQ(ls.numel(), 0);
-}
-
-TEST(QuantizationTest, RoundTripErrorBoundedByHalfStep) {
-  const int in_dim = 24, out_dim = 300;
-  std::vector<float> w =
-      FiniteInput(static_cast<int64_t>(in_dim) * out_dim, 12);
-  const std::vector<float> bias = FiniteInput(out_dim, 13);
-  const QuantizedLinear q =
-      QuantizeLinear(w.data(), bias.data(), in_dim, out_dim);
-  ASSERT_TRUE(q.valid());
-  for (int j = 0; j < out_dim; ++j) {
-    const float d = q.scales[static_cast<size_t>(j)];
-    for (int p = 0; p < in_dim; ++p) {
-      const size_t idx = static_cast<size_t>(p) * out_dim + j;
-      const float deq = static_cast<float>(q.weight[idx]) * d;
-      EXPECT_LE(std::fabs(deq - w[idx]), 0.5f * d + 1e-6f)
-          << "weight (" << p << ", " << j << ")";
-    }
-  }
-}
-
-TEST(QuantizationTest, NonFiniteWeightsQuantizeDefined) {
-  const int in_dim = 4, out_dim = 3;
-  // Column 0 holds NaN/inf, column 1 is all zeros, column 2 is ordinary.
-  std::vector<float> w = {kNan, 0.0f, 1.0f,  kInf, 0.0f, -2.0f,
-                          -kInf, 0.0f, 0.5f, 1.0f, 0.0f, 0.25f};
-  const std::vector<float> bias = {0.0f, 0.0f, 0.0f};
-  const QuantizedLinear q =
-      QuantizeLinear(w.data(), bias.data(), in_dim, out_dim);
-  // NaN weight -> 0; +/-inf saturate the int8 grid.
-  EXPECT_EQ(q.weight[0], 0);
-  EXPECT_EQ(q.weight[3], 127);
-  EXPECT_EQ(q.weight[6], -127);
-  // All-zero column: scale 0, exact zero dequant.
-  EXPECT_EQ(q.scales[1], 0.0f);
-  EXPECT_EQ(q.weight[1], 0);
-  // The inf column's scale saturates to FLT_MAX / 127, so its gemv output
-  // may overflow to +/-inf — defined, never NaN-from-UB. The zero column
-  // contributes bias only; the ordinary column stays finite.
-  EXPECT_EQ(q.scales[0], std::numeric_limits<float>::max() / 127.0f);
-  const std::vector<float> x = {1.0f, -1.0f, 0.5f, 2.0f};
-  std::vector<float> out(3);
-  QuantizedGemv(q, x.data(), out.data());
-  EXPECT_FALSE(std::isnan(out[0]));
-  EXPECT_EQ(out[1], 0.0f);
-  EXPECT_TRUE(std::isfinite(out[2]));
-}
-
-TEST(QuantizationTest, GemvApproximatesFloatProduct) {
-  const int in_dim = 24, out_dim = 300;
-  std::vector<float> w(static_cast<size_t>(in_dim) * out_dim);
-  std::vector<float> x(static_cast<size_t>(in_dim));
-  uint32_t state = 5;
-  auto next_unit = [&state] {
-    state = state * 1664525u + 1013904223u;
-    return static_cast<float>(state >> 8) / static_cast<float>(1u << 24) -
-           0.5f;
-  };
-  for (auto& v : w) v = next_unit();
-  for (auto& v : x) v = next_unit() * 4.0f;
-  const std::vector<float> bias = FiniteInput(out_dim, 14);
-  const QuantizedLinear q =
-      QuantizeLinear(w.data(), bias.data(), in_dim, out_dim);
-  std::vector<float> got(out_dim);
-  QuantizedGemv(q, x.data(), got.data());
-  float xmax = 0.0f, wmax = 0.0f;
-  for (float v : x) xmax = std::max(xmax, std::fabs(v));
-  for (float v : w) wmax = std::max(wmax, std::fabs(v));
-  // Error budget: half a quantization step per activation element (times
-  // the largest weight) plus half a step per weight (times the largest
-  // activation), accumulated over in_dim products. Loose but scale-aware —
-  // a layout or scale-indexing mistake blows past it by orders of
-  // magnitude.
-  const double tol =
-      in_dim * 0.5 * (xmax / 127.0 * wmax + wmax / 127.0 * xmax) + 1e-4;
-  for (int j = 0; j < out_dim; ++j) {
-    double ref = bias[static_cast<size_t>(j)];
-    for (int p = 0; p < in_dim; ++p) {
-      ref += static_cast<double>(x[static_cast<size_t>(p)]) *
-             w[static_cast<size_t>(p) * out_dim + j];
-    }
-    EXPECT_NEAR(ref, got[static_cast<size_t>(j)], tol) << "gemv column " << j;
-  }
-}
-
-TEST(QuantizationTest, SaveLoadRoundTrip) {
-  const int in_dim = 8, out_dim = 11;
-  const std::vector<float> w =
-      FiniteInput(static_cast<int64_t>(in_dim) * out_dim, 15);
-  const std::vector<float> bias = FiniteInput(out_dim, 16);
-  const QuantizedLinear q =
-      QuantizeLinear(w.data(), bias.data(), in_dim, out_dim);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  SaveQuantizedLinear(ss, q);
-  QuantizedLinear loaded;
-  std::string error;
-  ASSERT_TRUE(LoadQuantizedLinear(ss, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.in_dim, q.in_dim);
-  EXPECT_EQ(loaded.out_dim, q.out_dim);
-  EXPECT_EQ(loaded.weight, q.weight);
-  EXPECT_EQ(loaded.scales, q.scales);
-  EXPECT_EQ(loaded.bias, q.bias);
-  // Truncated stream fails cleanly.
-  std::stringstream truncated(std::ios::in | std::ios::out | std::ios::binary);
-  SaveQuantizedLinear(truncated, q);
-  std::string bytes = truncated.str();
-  bytes.resize(bytes.size() / 2);
-  std::istringstream half(bytes, std::ios::binary);
-  EXPECT_FALSE(LoadQuantizedLinear(half, &loaded, &error));
 }
 
 TEST(DispatchTest, OverrideAndNamesRoundTrip) {

@@ -4,8 +4,8 @@
 // forward kernels, a backward closure, the graph walk's visit order, the
 // optimizer, the mini-batch merge) moves a hash and fails here, so a change
 // that claims to keep training bit for bit has to prove it. The fitted
-// PA-Seq2Seq then imputes every user's ground-truth masked timeline, greedy
-// and by beam search, and those POI ids are pinned the same way: a change
+// PA-Seq2Seq then imputes every user's ground-truth masked timeline, and
+// those POI ids are pinned the same way: a change
 // to decoding or to the localized-region candidate sets fails here too.
 // Those argmaxes see only the logits of a 2 km candidate set, so the same
 // parameters also rank each user's next POI with `RankNext` (the top 10 at
@@ -51,8 +51,7 @@ struct GoldenHashes {
   uint64_t lstm_recommender;
   uint64_t pa_seq2seq;
   uint64_t pa_seq2seq_batch4;
-  uint64_t impute;       // Of the batch_size 1 fit.
-  uint64_t impute_beam;  // Of the batch_size 1 fit, beam width 3.
+  uint64_t impute;  // Of the batch_size 1 fit.
   // Of the batch_size 1 fit's parameters: RankNext's top 10 at 2 km, its
   // ranking of every POI with no candidate restriction, and Impute with no
   // candidate restriction.
@@ -63,12 +62,12 @@ struct GoldenHashes {
 
 constexpr GoldenHashes kScalarGolden = {
     0xe612586d2006dea4ull, 0x231ac1674bac10ecull, 0x42a132280352671dull,
-    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull,
-    0x3b23e2b4a9ba883dull, 0xef6ef95406c79758ull};
+    0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull, 0x3b23e2b4a9ba883dull,
+    0xef6ef95406c79758ull};
 constexpr GoldenHashes kSimdGolden = {
     0xbb4b68bfc26c633aull, 0xd6c4f3790adffe9aull, 0xd73139c3db531c93ull,
-    0x51a0610845ca85f9ull, 0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull,
-    0xfe7a701664cdf865ull, 0xef6ef95406c79758ull};
+    0x51a0610845ca85f9ull, 0x2e1cc7e583bb3f02ull, 0xfe7a701664cdf865ull,
+    0xef6ef95406c79758ull};
 
 class TrainingGoldenTest : public ::testing::Test {
  protected:
@@ -129,7 +128,6 @@ uint64_t FitLstmRecommender(const poi::SyntheticLbsn& lbsn) {
 struct PaSeq2SeqHashes {
   uint64_t params = kFnvOffset;
   uint64_t impute = kFnvOffset;
-  uint64_t impute_beam = kFnvOffset;
   uint64_t rank_next = kFnvOffset;
   uint64_t rank_next_all = kFnvOffset;
   uint64_t impute_all = kFnvOffset;
@@ -139,11 +137,11 @@ uint64_t HashIds(const std::vector<int32_t>& ids, uint64_t hash) {
   return Fnv1a(ids.data(), sizeof(int32_t) * ids.size(), hash);
 }
 
-// Every parameter in Parameters() order, then the POI ids Impute and
-// ImputeBeam(masked, 3) return for each user's ground-truth timeline, and
-// RankNext's top 10 after each user's observed sequence. A second model with
-// no candidate radius, given the fitted parameters, ranks every POI after
-// the same sequences and imputes the same timelines.
+// Every parameter in Parameters() order, then the POI ids Impute returns
+// for each user's ground-truth timeline, and RankNext's top 10 after each
+// user's observed sequence. A second model with no candidate radius, given
+// the fitted parameters, ranks every POI after the same sequences and
+// imputes the same timelines.
 PaSeq2SeqHashes FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
   augment::PaSeq2SeqConfig config;
   config.embedding_dim = 8;
@@ -179,8 +177,6 @@ PaSeq2SeqHashes FitPaSeq2Seq(const poi::SyntheticLbsn& lbsn, int batch_size) {
     const augment::MaskedSequence masked =
         augment::MakeGroundTruthMasked(lbsn, u);
     hashes.impute = HashIds(model.Impute(masked), hashes.impute);
-    hashes.impute_beam = HashIds(model.ImputeBeam(masked, 3),
-                                 hashes.impute_beam);
     hashes.impute_all = HashIds(unrestricted.Impute(masked),
                                 hashes.impute_all);
     const poi::CheckinSequence& history = lbsn.observed.sequences[u];
@@ -212,8 +208,6 @@ void ExpectGolden(const tensor::kernels::KernelTable& table,
         << where << "PA-Seq2Seq hash " << Hex(pa.params);
     EXPECT_EQ(pa.impute, golden.impute)
         << where << "Impute hash " << Hex(pa.impute);
-    EXPECT_EQ(pa.impute_beam, golden.impute_beam)
-        << where << "ImputeBeam hash " << Hex(pa.impute_beam);
     EXPECT_EQ(pa.rank_next, golden.rank_next)
         << where << "RankNext hash " << Hex(pa.rank_next);
     EXPECT_EQ(pa.rank_next_all, golden.rank_next_all)
