@@ -386,15 +386,23 @@ ctest --test-dir build-tsan --output-on-failure \
 # candidate-set tables and packed projection columns that live for one
 # call, and so does the direct-recommendation suite, whose RankNext
 # hands a raw logits row to the top-k; the R-tree suite checks the radius
-# queries those candidate sets come from.
-cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
+# queries those candidate sets come from. The golden suite runs the fitted
+# model's Impute at 2 km, which reads the candidate bitmaps, and the
+# linear-interpolation suite feeds out-of-range observed POIs that must be
+# refused before any coordinate lookup. Any UBSan report fails the pass
+# (-fno-sanitize-recover), and so does an out-of-bounds vector or string
+# index that ASan's redzones would miss (-D_GLIBCXX_ASSERTIONS).
+cmake -B build-asan -S . -DPA_SANITIZE=address,undefined \
+  "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+  >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
   serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test \
   augment_pa_seq2seq_test augment_extensions_test \
+  augment_linear_interpolation_test training_golden_test \
   rec_pa_seq2seq_direct_test geo_rtree_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -1,6 +1,20 @@
 #include "augment/augmenter.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace pa::augment {
+
+void CheckPoisInTable(const poi::CheckinSequence& checkins,
+                      const poi::PoiTable& pois, const char* who) {
+  for (const poi::Checkin& c : checkins) {
+    if (c.poi < 0 || c.poi >= pois.size()) {
+      throw std::out_of_range(std::string(who) + ": POI " +
+                              std::to_string(c.poi) + " outside the table of " +
+                              std::to_string(pois.size()) + " POIs");
+    }
+  }
+}
 
 MaskedSequence MakeMaskedSequence(const poi::CheckinSequence& observed,
                                   int64_t interval_seconds,

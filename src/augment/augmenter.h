@@ -43,6 +43,12 @@ class Augmenter {
   virtual std::vector<int32_t> Impute(const MaskedSequence& masked) const = 0;
 };
 
+/// Throws std::out_of_range, naming `who`, unless every check-in's POI lies
+/// in [0, pois.size()). Augmenters call it on their input before they look
+/// up any POI's coordinates.
+void CheckPoisInTable(const poi::CheckinSequence& checkins,
+                      const poi::PoiTable& pois, const char* who);
+
 /// Applies `augmenter` to one observed sequence: returns the sequence with
 /// every missing slot filled by an imputed check-in (`imputed = true`).
 poi::CheckinSequence AugmentSequence(const Augmenter& augmenter,

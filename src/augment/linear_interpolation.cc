@@ -15,6 +15,7 @@ std::string LinearInterpolationAugmenter::name() const {
 
 std::vector<int32_t> LinearInterpolationAugmenter::Impute(
     const MaskedSequence& masked) const {
+  CheckPoisInTable(masked.observed, pois_, "LinearInterpolationAugmenter");
   std::vector<int32_t> out;
   const auto& timeline = masked.timeline;
   const auto& observed = masked.observed;

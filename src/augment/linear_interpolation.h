@@ -31,6 +31,7 @@ class LinearInterpolationAugmenter : public Augmenter {
                                double pop_radius_km = 2.0);
 
   std::string name() const override;
+  /// Throws std::out_of_range for an observed POI outside the table.
   std::vector<int32_t> Impute(const MaskedSequence& masked) const override;
 
  private:

@@ -1,13 +1,12 @@
 #include "augment/pa_seq2seq.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <cmath>
 #include <cstdio>
 
@@ -65,22 +64,30 @@ struct TrainInstruments {
   }
 };
 
-// Greedy decoding's argmax over `count` candidates, the i-th of which is
-// POI `id(i)` with logit `logit(i)`: the first seeds the best, and a later
-// one replaces it only when its logit compares strictly greater. Ties keep
-// the earlier candidate; a NaN logit never replaces the best, and a NaN
-// first candidate is never replaced.
-template <typename Id, typename Logit>
-int32_t Argmax(int count, const Id& id, const Logit& logit) {
-  int best = 0;
-  float best_v = logit(0);
-  for (int i = 1; i < count; ++i) {
-    if (logit(i) > best_v) {
-      best_v = logit(i);
-      best = i;
+// Greedy decoding's argmax, offered candidates in ascending id order: the
+// first seeds the best, and a later one replaces it only when its logit
+// compares strictly greater. Ties keep the earlier candidate; a NaN logit
+// never replaces the best, and a NaN first candidate is never replaced.
+struct Argmax {
+  int32_t id = -1;
+  float logit = 0.0f;
+  void Offer(int32_t candidate, float v) {
+    if (id < 0 || v > logit) {
+      id = candidate;
+      logit = v;
     }
   }
-  return id(best);
+};
+
+// Calls `f(id)` for every id set in the bitmap `bits` of `words` 64-bit
+// words (bit i % 64 of word i / 64 is id i), in ascending id order.
+template <typename F>
+void ForEachId(const uint64_t* bits, int words, const F& f) {
+  for (int k = 0; k < words; ++k) {
+    for (uint64_t b = bits[k]; b != 0; b &= b - 1) {
+      f(static_cast<int32_t>(k * 64 + std::countr_zero(b)));
+    }
+  }
 }
 
 // Top-k over a logits row of `n` POIs, optionally restricted to
@@ -588,11 +595,14 @@ struct PaSeq2Seq::ImputeInputs {
   std::vector<int> tokens;
   /// Per slot: Δt from slot timestamps; Δd only between two observed slots.
   std::vector<poi::StepFeatures> feats;
-  /// Per missing slot: index into `candidate_sets`; -1 at observed slots.
+  /// Per missing slot: index into the candidate sets; -1 at observed slots.
   std::vector<int> candidate_set;
+  /// 64-bit words per candidate set: one bit per POI id.
+  int words = 0;
   /// One localized-region candidate set per distinct (previous, next)
-  /// observed bracket pair: ids sorted ascending, empty = all POIs.
-  std::vector<std::vector<int32_t>> candidate_sets;
+  /// observed bracket pair, a bitmap over POI ids: set k is words
+  /// [k * words, (k + 1) * words). A set with no bit set means all POIs.
+  std::vector<uint64_t> candidate_sets;
   /// The answer for a missing slot decoding never reaches (a missing first
   /// slot), as LinearInterpolationAugmenter falls back.
   int32_t fallback = 0;
@@ -631,26 +641,31 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
 
   // Localized-region candidate sets (see PaSeq2SeqConfig comment): a missing
   // slot ranks the POIs within `candidate_radius_km` of either observed
-  // check-in bracketing it. Every slot between the same two brackets shares
-  // one set, the union of the brackets' radius lists, each of which is
-  // queried (ids only, in tree order) and sorted by id once per call.
+  // check-in bracketing it. Each distinct bracket POI is queried once (ids
+  // only, in tree order) into a bitmap over POI ids, and every slot between
+  // the same two brackets shares one set, the OR of their two bitmaps.
+  const int num_pois = pois_.size();
+  in.words = (num_pois + 63) / 64;
   std::vector<int32_t> next_obs(n, -1);
   for (int t = n - 1, nxt = -1; t >= 0; --t) {
     if (!timeline[t].missing()) nxt = in.tokens[t];
     next_obs[t] = nxt;
   }
-  std::unordered_map<int32_t, std::vector<int32_t>> radius_lists;
-  auto pois_near = [&](int32_t poi) -> const std::vector<int32_t>& {
-    static const std::vector<int32_t> kNone;
-    if (poi < 0 || config_.candidate_radius_km <= 0.0) return kNone;
-    auto [it, fresh] = radius_lists.try_emplace(poi);
-    std::vector<int32_t>& ids = it->second;
-    if (fresh) {
-      ids = pois_.SpatialIndex().IdsWithinRadius(pois_.coord(poi),
-                                                 config_.candidate_radius_km);
-      std::sort(ids.begin(), ids.end());  // The index holds each POI once.
+  std::vector<uint64_t> radius_bits;  // One bitmap per queried POI.
+  std::vector<int> bitmap_of(static_cast<size_t>(num_pois), -1);
+  int bitmaps = 0;
+  auto radius_bitmap = [&](int32_t poi) {
+    if (poi < 0 || config_.candidate_radius_km <= 0.0) return -1;
+    if (bitmap_of[poi] < 0) {
+      bitmap_of[poi] = bitmaps++;
+      radius_bits.resize(radius_bits.size() + in.words, 0);
+      uint64_t* bits = radius_bits.data() + radius_bits.size() - in.words;
+      for (int32_t id : pois_.SpatialIndex().IdsWithinRadius(
+               pois_.coord(poi), config_.candidate_radius_km)) {
+        bits[id / 64] |= uint64_t{1} << (id % 64);
+      }
     }
-    return ids;
+    return bitmap_of[poi];
   };
   std::map<std::pair<int32_t, int32_t>, int> set_of_brackets;
   for (int t = 0, prev = -1; t < n; ++t) {
@@ -659,12 +674,18 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
       continue;
     }
     const auto [it, fresh] = set_of_brackets.try_emplace(
-        {prev, next_obs[t]}, static_cast<int>(in.candidate_sets.size()));
+        {prev, next_obs[t]}, static_cast<int>(set_of_brackets.size()));
     if (fresh) {
-      const std::vector<int32_t>& a = pois_near(prev);
-      const std::vector<int32_t>& b = pois_near(next_obs[t]);
-      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                     std::back_inserter(in.candidate_sets.emplace_back()));
+      const int brackets[] = {radius_bitmap(prev), radius_bitmap(next_obs[t])};
+      in.candidate_sets.resize(in.candidate_sets.size() + in.words, 0);
+      uint64_t* set =
+          in.candidate_sets.data() + in.candidate_sets.size() - in.words;
+      for (int bitmap : brackets) {
+        if (bitmap < 0) continue;
+        const uint64_t* bits =
+            radius_bits.data() + static_cast<int64_t>(bitmap) * in.words;
+        for (int k = 0; k < in.words; ++k) set[k] |= bits[k];
+      }
     }
     in.candidate_set[t] = it->second;
   }
@@ -672,30 +693,33 @@ PaSeq2Seq::ImputeInputs PaSeq2Seq::PrepareImpute(
 }
 
 std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
+  CheckPoisInTable(masked.observed, pois_, "PaSeq2Seq::Impute");
   const auto& timeline = masked.timeline;
   const int n = static_cast<int>(timeline.size());
   const int total_missing = poi::CountMissing(timeline);
   if (total_missing == 0) return {};
   const ImputeInputs in = PrepareImpute(masked);
+  const int words = in.words;
 
   // The output projection scores only candidate POIs. W's columns and b's
-  // entries for the union of the call's candidate sets are packed once into
-  // [2H, |union|]; `column` maps a POI id to its packed column (-1 outside).
-  // Each packed logit is the full projection's, bit for bit: the same
-  // ascending-p matmul_block sum from zero, then the same bias add.
+  // entries for the union of the call's candidate sets (the OR of their
+  // bitmaps, read in ascending id order) are packed once into [2H, |union|];
+  // `column` maps a POI id to its packed column (-1 outside). Each packed
+  // logit is the full projection's, bit for bit: the same ascending-p
+  // matmul_block sum from zero, then the same bias add.
   const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
   const int num_pois = pois_.size();
   const int w = 2 * config_.hidden_dim;
-  std::vector<int32_t> column(static_cast<size_t>(num_pois), -1);
-  for (const std::vector<int32_t>& set : in.candidate_sets) {
-    for (int32_t id : set) column[id] = 0;
+  std::vector<uint64_t> all(static_cast<size_t>(words), 0);
+  for (size_t i = 0; i < in.candidate_sets.size(); i += words) {
+    for (int k = 0; k < words; ++k) all[k] |= in.candidate_sets[i + k];
   }
+  std::vector<int32_t> column(static_cast<size_t>(num_pois), -1);
   std::vector<int32_t> packed_ids;
-  for (int32_t id = 0; id < num_pois; ++id) {
-    if (column[id] < 0) continue;
+  ForEachId(all.data(), words, [&](int32_t id) {
     column[id] = static_cast<int32_t>(packed_ids.size());
     packed_ids.push_back(id);
-  }
+  });
   const int u = static_cast<int>(packed_ids.size());
   std::vector<float> packed_w(static_cast<size_t>(w) * u);
   std::vector<float> packed_b(static_cast<size_t>(u));
@@ -707,7 +731,8 @@ std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
   }
   const float* bias = output_.bias().data();
   for (int j = 0; j < u; ++j) packed_b[j] = bias[packed_ids[j]];
-  // An empty set (no radius) scores the whole catalogue.
+  // An empty set (no bracket, radius <= 0, or a radius no POI meets) scores
+  // the whole catalogue.
   std::vector<float> logits(static_cast<size_t>(num_pois));
 
   // Decode in overlapping chunks; a position's prediction is taken from the
@@ -734,23 +759,25 @@ std::vector<int32_t> PaSeq2Seq::Impute(const MaskedSequence& masked) const {
     DecodeRows(
         tokens.data(), in.feats.data() + begin, is_target.data(), end - begin,
         [&](int t, const float* hidden) {
-          const std::vector<int32_t>& set =
-              in.candidate_sets[in.candidate_set[begin + t]];
+          const uint64_t* set =
+              in.candidate_sets.data() +
+              static_cast<int64_t>(in.candidate_set[begin + t]) * words;
           float* row = logits.data();
-          if (set.empty()) {
+          Argmax best;
+          if (std::none_of(set, set + words,
+                           [](uint64_t b) { return b != 0; })) {
             output_.ForwardRow(hidden, row);
-            predicted[begin + t] =
-                Argmax(num_pois, [](int i) { return i; },
-                       [&](int i) { return row[i]; });
+            for (int32_t id = 0; id < num_pois; ++id) best.Offer(id, row[id]);
           } else {
             std::fill(row, row + u, 0.0f);
             kt.matmul_block(hidden, packed_w.data(), row, w, u, 0, 1, 0, u);
             kt.add(row, packed_b.data(), row, u);
-            predicted[begin + t] = Argmax(
-                static_cast<int>(set.size()), [&](int i) { return set[i]; },
-                [&](int i) { return row[column[set[i]]]; });
+            ForEachId(set, words, [&](int32_t id) {
+              best.Offer(id, row[column[id]]);
+            });
           }
-          return predicted[begin + t];
+          predicted[begin + t] = best.id;
+          return best.id;
         });
     if (end == n) break;
     begin = end - overlap;
@@ -770,6 +797,7 @@ std::vector<int32_t> PaSeq2Seq::RankNext(const poi::CheckinSequence& history,
                                          int64_t next_timestamp,
                                          int k) const {
   if (history.empty()) return {};
+  CheckPoisInTable(history, pois_, "PaSeq2Seq::RankNext");
 
   // Tail of the history plus one trailing missing slot.
   const int tail = std::min<int>(static_cast<int>(history.size()),

@@ -107,7 +107,8 @@ class PaSeq2Seq : public Augmenter {
 
   /// Predicts a POI for every missing slot of the timeline (greedy
   /// decoding; predictions feed back as the next decoder input, and their
-  /// coordinates supply the Δd features of later steps).
+  /// coordinates supply the Δd features of later steps). Throws
+  /// std::out_of_range for an observed POI outside the table.
   std::vector<int32_t> Impute(const MaskedSequence& masked) const override;
 
   /// The id of the missing-check-in token.
@@ -119,7 +120,8 @@ class PaSeq2Seq : public Augmenter {
   /// of) the observed history plus one trailing missing slot at
   /// `next_timestamp` and returns the top-k POIs predicted for that slot.
   /// Candidate restriction follows `candidate_radius_km` around the last
-  /// observed POI, padded from the unrestricted ranking when short.
+  /// observed POI, padded from the unrestricted ranking when short. Throws
+  /// std::out_of_range for a history POI outside the table.
   std::vector<int32_t> RankNext(const poi::CheckinSequence& history,
                                 int64_t next_timestamp, int k) const;
 

@@ -3,15 +3,41 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <queue>
 #include <string>
 
 namespace pa::geo {
 
+namespace {
+
+// A point's position on the unit sphere.
+struct UnitVector {
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+};
+
+UnitVector ToUnitVector(const LatLng& p) {
+  const double lat = p.lat * std::numbers::pi / 180.0;
+  const double lng = p.lng * std::numbers::pi / 180.0;
+  return {std::cos(lat) * std::cos(lng), std::cos(lat) * std::sin(lng),
+          std::sin(lat)};
+}
+
+// A leaf entry beside its point's unit vector, computed once at insert for
+// the radius walk's chord test.
+struct LeafEntry {
+  RTree::Entry entry;
+  UnitVector unit;
+};
+
+}  // namespace
+
 struct RTree::Node {
   bool leaf = true;
   BoundingBox box = BoundingBox::Empty();
-  std::vector<Entry> entries;                   // Populated when leaf.
+  std::vector<LeafEntry> entries;               // Populated when leaf.
   std::vector<std::unique_ptr<Node>> children;  // Populated when internal.
 
   int Count() const {
@@ -22,7 +48,7 @@ struct RTree::Node {
   void RecomputeBox() {
     box = BoundingBox::Empty();
     if (leaf) {
-      for (const Entry& e : entries) box.Extend(e.point);
+      for (const LeafEntry& e : entries) box.Extend(e.entry.point);
     } else {
       for (const auto& c : children) box.Extend(c->box);
     }
@@ -130,12 +156,14 @@ std::unique_ptr<Node> SplitNode(Node* node, int max_entries) {
   sibling->leaf = node->leaf;
 
   if (node->leaf) {
-    std::vector<RTree::Entry> items = std::move(node->entries);
+    std::vector<LeafEntry> items = std::move(node->entries);
     node->entries.clear();
     BoundingBox box_a, box_b;
     QuadraticSplit(
         items,
-        [](const RTree::Entry& e) { return BoundingBox::FromPoint(e.point); },
+        [](const LeafEntry& e) {
+          return BoundingBox::FromPoint(e.entry.point);
+        },
         min_fill, &node->entries, &sibling->entries, &box_a, &box_b);
     node->box = box_a;
     sibling->box = box_b;
@@ -153,9 +181,9 @@ std::unique_ptr<Node> SplitNode(Node* node, int max_entries) {
 }
 
 // Recursive insert; returns a split sibling of `node` when it overflowed.
-std::unique_ptr<Node> InsertRec(Node* node, const RTree::Entry& entry,
+std::unique_ptr<Node> InsertRec(Node* node, const LeafEntry& entry,
                                 int max_entries) {
-  const BoundingBox ebox = BoundingBox::FromPoint(entry.point);
+  const BoundingBox ebox = BoundingBox::FromPoint(entry.entry.point);
   node->box.Extend(ebox);
 
   if (node->leaf) {
@@ -198,8 +226,8 @@ RTree::RTree(RTree&&) noexcept = default;
 RTree& RTree::operator=(RTree&&) noexcept = default;
 
 void RTree::Insert(const LatLng& point, int32_t id) {
-  std::unique_ptr<Node> split = InsertRec(root_.get(), {point, id},
-                                          max_entries_);
+  std::unique_ptr<Node> split = InsertRec(
+      root_.get(), {{point, id}, ToUnitVector(point)}, max_entries_);
   if (split) {
     auto new_root = std::make_unique<Node>();
     new_root->leaf = false;
@@ -238,8 +266,8 @@ std::vector<RTree::Neighbor> RTree::Nearest(const LatLng& p, int k) const {
     }
     const Node* node = item.node;
     if (node->leaf) {
-      for (const Entry& e : node->entries) {
-        pq.push({HaversineKm(p, e.point), nullptr, e});
+      for (const LeafEntry& e : node->entries) {
+        pq.push({HaversineKm(p, e.entry.point), nullptr, e.entry});
       }
     } else {
       for (const auto& child : node->children) {
@@ -252,23 +280,58 @@ std::vector<RTree::Neighbor> RTree::Nearest(const LatLng& p, int k) const {
 
 namespace {
 
-// Calls `visit(entry, distance_km)` for every entry within `radius_km` of
-// `p`, in depth-first traversal order.
+// Calls `visit(entry)` for every entry whose `HaversineKm` from `p` is at
+// most `radius_km`, in depth-first traversal order.
+//
+// The chord test. A haversine distance d = R·θ is the central angle θ
+// between unit vectors whose chord is c = 2·sin(θ/2), which grows with θ up
+// to θ = π. So d <= r exactly when c² <= c_r², with c_r = 2·sin(min(r / 2R,
+// π/2)). Both sides are rounded, so an entry is decided by its chord only
+// outside a band c_r² ± δ, and by the test `HaversineKm(p, e) <= r` inside
+// it. The band's width, with ε = 2^-53, for coordinates within ±90°
+// and ±180° and an entry whose chord c is near c_r:
+//  - each unit-vector component is off by at most ~10ε (degrees to radians,
+//    sin, cos, product), so a component difference is off by 20ε and c² by
+//    70ε·c + 1200ε², plus 3ε·c² from its own rounding;
+//  - c_r² is off by a few ε·c_r²;
+//  - HaversineKm is off by a few ε relative, at most twice that in c², and
+//    each of its cos(lat) factors by ~3ε absolute, with a weight in c² that
+//    is bounded by 2c: together about 20ε·c² + 50ε·c;
+//  - below a chord of ~1e-161 its sin² terms underflow to zero.
+// That totals under 4e-15·c_r² + 1.4e-14·c_r + 2e-29. δ = 1e-9·c_r² +
+// 1e-12·c_r + 1e-26 covers each term over 70 times, and the band stays far
+// thinner than any spacing of real POIs: at 15 km it is ±11 µm wide. A NaN
+// chord (a non-finite coordinate) fails both comparisons and takes the
+// haversine test too.
 template <typename Visit>
 void VisitWithinRadius(const Node* root, const LatLng& p, double radius_km,
                        const Visit& visit) {
   // An empty tree's root box is inverted (min > max) and bounds nothing;
-  // every other node holds at least one entry.
-  if (root->Count() == 0) return;
+  // every other node holds at least one entry. No distance is <= a
+  // negative or NaN radius.
+  if (root->Count() == 0 || !(radius_km >= 0.0)) return;
+  const UnitVector q = ToUnitVector(p);
+  const double half_angle =
+      std::min(radius_km / (2.0 * kEarthRadiusKm), std::numbers::pi / 2.0);
+  const double c_r = 2.0 * std::sin(half_angle);
+  const double band = 1e-9 * c_r * c_r + 1e-12 * c_r + 1e-26;
+  const double in_below = c_r * c_r - band;
+  const double out_above = c_r * c_r + band;
   std::vector<const Node*> stack = {root};
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
     if (node->box.MinDistanceKm(p) > radius_km) continue;
     if (node->leaf) {
-      for (const RTree::Entry& e : node->entries) {
-        const double d = HaversineKm(p, e.point);
-        if (d <= radius_km) visit(e, d);
+      for (const LeafEntry& e : node->entries) {
+        const double dx = e.unit.x - q.x;
+        const double dy = e.unit.y - q.y;
+        const double dz = e.unit.z - q.z;
+        const double c2 = dx * dx + dy * dy + dz * dz;
+        if (c2 > out_above) continue;
+        if (c2 < in_below || HaversineKm(p, e.entry.point) <= radius_km) {
+          visit(e.entry);
+        }
       }
     } else {
       for (const auto& child : node->children) stack.push_back(child.get());
@@ -281,10 +344,9 @@ void VisitWithinRadius(const Node* root, const LatLng& p, double radius_km,
 std::vector<RTree::Neighbor> RTree::WithinRadius(const LatLng& p,
                                                  double radius_km) const {
   std::vector<Neighbor> result;
-  VisitWithinRadius(root_.get(), p, radius_km,
-                    [&](const Entry& e, double d) {
-                      result.push_back({e.id, e.point, d});
-                    });
+  VisitWithinRadius(root_.get(), p, radius_km, [&](const Entry& e) {
+    result.push_back({e.id, e.point, HaversineKm(p, e.point)});
+  });
   std::sort(result.begin(), result.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance_km < b.distance_km;
@@ -296,7 +358,7 @@ std::vector<int32_t> RTree::IdsWithinRadius(const LatLng& p,
                                             double radius_km) const {
   std::vector<int32_t> ids;
   VisitWithinRadius(root_.get(), p, radius_km,
-                    [&](const Entry& e, double) { ids.push_back(e.id); });
+                    [&](const Entry& e) { ids.push_back(e.id); });
   return ids;
 }
 
@@ -330,8 +392,8 @@ bool CheckNode(const Node* node, bool is_root, int max_entries, int depth,
       if (why) *why = "leaves at different depths";
       return false;
     }
-    for (const auto& e : node->entries) {
-      if (!node->box.Contains(e.point)) {
+    for (const LeafEntry& e : node->entries) {
+      if (!node->box.Contains(e.entry.point)) {
         if (why) *why = "leaf box does not contain entry";
         return false;
       }

@@ -21,7 +21,10 @@ namespace pa::geo {
 ///   * `WithinRadius(p, r)` — all entries within r kilometres, nearest
 ///     first; `IdsWithinRadius(p, r)` — their ids alone, unsorted.
 ///
-/// The tree owns its entries; ids need not be unique.
+/// The tree owns its entries; ids need not be unique. Each leaf keeps its
+/// entries' unit vectors beside them (24 bytes per entry), so the radius
+/// queries decide almost every entry by its squared chord to `p` and run
+/// the haversine only inside a rounding band around the radius.
 class RTree {
  public:
   struct Entry {
@@ -53,11 +56,13 @@ class RTree {
   /// k when the tree has fewer entries.
   std::vector<Neighbor> Nearest(const LatLng& p, int k) const;
 
-  /// All entries within `radius_km` of `p`, ordered by increasing distance.
+  /// All entries whose `HaversineKm` from `p` is at most `radius_km`, ordered
+  /// by increasing distance; each `distance_km` is that `HaversineKm`.
   std::vector<Neighbor> WithinRadius(const LatLng& p, double radius_km) const;
 
   /// The ids of the entries `WithinRadius` returns, in traversal order: the
-  /// same tree walk and distance test, without the sort by distance.
+  /// same tree walk and chord test, without distances or the sort by
+  /// distance.
   std::vector<int32_t> IdsWithinRadius(const LatLng& p,
                                        double radius_km) const;
 

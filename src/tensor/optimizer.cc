@@ -56,18 +56,22 @@ void Adam::Step() {
       1.0f - std::pow(beta1_, static_cast<float>(step_count_));
   const float bc2 =
       1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  // Locals: a float store through w, m or v could alias a float member, so
+  // the loop would reload each member per element and not vectorize.
+  const float beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     Tensor& p = params_[pi];
     float* w = p.data();
     const float* g = p.grad_data();
-    std::vector<float>& m = m_[pi];
-    std::vector<float>& v = v_[pi];
-    for (int64_t i = 0; i < p.numel(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
+    float* m = m_[pi].data();
+    float* v = v_[pi].data();
+    const int64_t n = p.numel();
+    for (int64_t i = 0; i < n; ++i) {
+      m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
+      v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
       const float mhat = m[i] / bc1;
       const float vhat = v[i] / bc2;
-      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "augment/linear_interpolation.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 namespace pa::augment {
@@ -93,6 +95,24 @@ TEST(LinearInterpolationTest, CurvedTruthDefeatsStraightLine) {
   auto imputed = nn.Impute(MaskedBetween(0, 1, 6));
   ASSERT_EQ(imputed.size(), 1u);
   EXPECT_EQ(imputed[0], 3);  // Picks the on-line POI, not the true detour 2.
+}
+
+TEST(LinearInterpolationTest, OutOfRangePoiIsATypedError) {
+  // An observed POI outside the table is reported before its coordinates
+  // are read, in either bracket and in both modes.
+  poi::PoiTable pois = LinePois();
+  for (auto mode : {LinearInterpolationAugmenter::Mode::kNearestNeighbor,
+                    LinearInterpolationAugmenter::Mode::kMostPopular}) {
+    LinearInterpolationAugmenter augmenter(pois, mode);
+    for (int32_t bad : {-1, 9, 10, 1000}) {
+      EXPECT_THROW(augmenter.Impute(MaskedBetween(0, bad, 9)),
+                   std::out_of_range)
+          << augmenter.name() << " " << bad;
+      EXPECT_THROW(augmenter.Impute(MaskedBetween(bad, 0, 9)),
+                   std::out_of_range)
+          << augmenter.name() << " " << bad;
+    }
+  }
 }
 
 TEST(LinearInterpolationTest, NamesDistinguishModes) {

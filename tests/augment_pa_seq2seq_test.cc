@@ -1,5 +1,6 @@
 #include "augment/pa_seq2seq.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,49 @@ TEST(PaSeq2SeqTest, OutOfRangeTokenIsATypedError) {
                  std::out_of_range)
         << bad;
   }
+
+  // At 15 km, two check-ins with one outside the table: the check runs
+  // before the Δd features and the radius queries read any coordinate. POI
+  // 6 is the missing-check-in token, which the embedding check accepts.
+  PaSeq2SeqConfig config = FastConfig();
+  config.candidate_radius_km = 15.0;
+  PaSeq2Seq local(pois, config);
+  for (int32_t bad : {-1, 6, 7, 1000}) {
+    for (const poi::CheckinSequence& observed :
+         {poi::CheckinSequence{{0, 0, 0, false}, {0, bad, 9 * kHour, false}},
+          poi::CheckinSequence{{0, bad, 0, false}, {0, 0, 9 * kHour, false}}}) {
+      EXPECT_THROW(local.Impute(MakeMaskedSequence(observed, 3 * kHour)),
+                   std::out_of_range)
+          << bad;
+      EXPECT_THROW(local.RankNext(observed, 12 * kHour, 3), std::out_of_range)
+          << bad;
+    }
+  }
+}
+
+TEST(PaSeq2SeqTest, EmptyCandidateSetScoresTheWholeCatalogue) {
+  // A NaN radius meets no POI, so every candidate set is empty and each
+  // slot scores the whole catalogue, as at radius 0 (which queries
+  // nothing), even though every gap has its brackets. A radius that meets
+  // every POI scores each of them too, through the packed projection.
+  poi::PoiTable pois = CyclePois();
+  poi::CheckinSequence observed = {{0, 0, 0, false},
+                                   {0, 1, 9 * kHour, false},
+                                   {0, 5, 12 * kHour, false},
+                                   {0, 3, 24 * kHour, false}};
+  const MaskedSequence masked = MakeMaskedSequence(observed, 3 * kHour);
+  auto impute_at = [&](double radius_km) {
+    PaSeq2SeqConfig config = FastConfig();
+    config.candidate_radius_km = radius_km;
+    return PaSeq2Seq(pois, config).Impute(masked);
+  };
+  const std::vector<int32_t> whole = impute_at(0.0);
+  ASSERT_EQ(static_cast<int>(whole.size()), poi::CountMissing(masked.timeline));
+  // The fallback (the first observed POI) must not explain the answer.
+  EXPECT_NE(whole, std::vector<int32_t>(whole.size(), observed[0].poi));
+  EXPECT_EQ(impute_at(std::numeric_limits<double>::quiet_NaN()), whole);
+  EXPECT_EQ(impute_at(-1.0), whole);
+  EXPECT_EQ(impute_at(std::numeric_limits<double>::infinity()), whole);
 }
 
 TEST(PaSeq2SeqTest, CandidateRestrictionKeepsImputationsLocal) {

@@ -1,6 +1,9 @@
 #include "geo/rtree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,6 +46,54 @@ std::vector<int32_t> BruteRadius(const std::vector<RTree::Entry>& entries,
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// The radii every radius-query test sweeps: below zero, both zeros, tiny,
+// city and continental scales, beyond half the circumference, NaN and +inf.
+const double kSweepRadiiKm[] = {-1.0,
+                                -0.0,
+                                0.0,
+                                1e-6,
+                                1e-3,
+                                2.0,
+                                15.0,
+                                500.0,
+                                20100.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()};
+
+// The radius exactly at `HaversineKm(p, e)` and one ulp either side of it:
+// the radii where a chord test without its rounding band goes wrong.
+std::vector<double> BoundaryRadii(const LatLng& p, const LatLng& e) {
+  const double r = HaversineKm(p, e);
+  return {std::nextafter(r, 0.0), r,
+          std::nextafter(r, std::numeric_limits<double>::infinity())};
+}
+
+// Both radius queries at (p, r) against the brute-force haversine scan: the
+// same id set, `WithinRadius` nearest first, and each of its distances
+// bitwise `HaversineKm`.
+void ExpectRadiusQueriesMatchBruteForce(
+    const RTree& tree, const std::vector<RTree::Entry>& entries,
+    const LatLng& p, double r) {
+  const std::vector<int32_t> want = BruteRadius(entries, p, r);
+  const std::vector<RTree::Neighbor> within = tree.WithinRadius(p, r);
+  std::vector<int32_t> got;
+  for (size_t i = 0; i < within.size(); ++i) {
+    got.push_back(within[i].id);
+    EXPECT_EQ(std::bit_cast<uint64_t>(within[i].distance_km),
+              std::bit_cast<uint64_t>(HaversineKm(p, within[i].point)))
+        << p.ToString() << " r=" << r << " id " << within[i].id;
+    if (i > 0) {
+      EXPECT_LE(within[i - 1].distance_km, within[i].distance_km);
+    }
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << "WithinRadius at " << p.ToString() << " r=" << r;
+  std::vector<int32_t> ids = tree.IdsWithinRadius(p, r);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, want) << "IdsWithinRadius at " << p.ToString()
+                       << " r=" << r;
 }
 
 // A leaf beside p = (60, 0) whose west edge's nearest point to p, the last
@@ -146,14 +197,33 @@ TEST(RTreeTest, NearestResultsSortedAscending) {
 TEST(RTreeTest, WithinRadiusMatchesBruteForce) {
   util::Rng rng(4);
   auto entries = RandomEntries(300, rng);
+  // Two far entries: one near the antipode of (41, -99), where the chord
+  // flattens out, and one near the north pole.
+  entries.push_back({{-40.7, 80.6}, 300});
+  entries.push_back({{89.9, 10.0}, 301});
   RTree tree = RTree::Build(entries);
+  const LatLng centre{41.0, -99.0};
   for (double radius : {1.0, 10.0, 50.0, 500.0}) {
-    LatLng p{41.0, -99.0};
-    auto got = tree.WithinRadius(p, radius);
-    std::vector<int32_t> got_ids;
-    for (const auto& n : got) got_ids.push_back(n.id);
-    std::sort(got_ids.begin(), got_ids.end());
-    EXPECT_EQ(got_ids, BruteRadius(entries, p, radius)) << "r=" << radius;
+    ExpectRadiusQueriesMatchBruteForce(tree, entries, centre, radius);
+  }
+  for (const LatLng& p : {centre, entries[5].point}) {
+    for (double radius : kSweepRadiiKm) {
+      ExpectRadiusQueriesMatchBruteForce(tree, entries, p, radius);
+    }
+  }
+  // Radii at an entry's exact distance and one ulp either side, from the
+  // centre, from an entry and from the pole's neighbourhood.
+  for (const LatLng& p : {centre, entries[17].point, LatLng{89.5, -170.0}}) {
+    for (size_t k = 0; k < entries.size(); k += 7) {
+      for (double radius : BoundaryRadii(p, entries[k].point)) {
+        ExpectRadiusQueriesMatchBruteForce(tree, entries, p, radius);
+      }
+    }
+    for (int32_t far : {300, 301}) {
+      for (double radius : BoundaryRadii(p, entries[far].point)) {
+        ExpectRadiusQueriesMatchBruteForce(tree, entries, p, radius);
+      }
+    }
   }
 
   // The leaf's nearest entry lies inside the radius, and a bound that
@@ -201,6 +271,12 @@ TEST(RTreeTest, WithinRadiusMatchesBruteForce) {
     for (const auto& n : tree.WithinRadius(p, radius)) got.push_back(n.id);
     EXPECT_EQ(got, want) << e.ToString();
     EXPECT_EQ(tree.IdsWithinRadius(p, radius), want) << e.ToString();
+    // One ulp inside the entry's distance finds nothing; one ulp beyond, e.
+    const std::vector<double> radii = BoundaryRadii(p, e);
+    EXPECT_TRUE(BruteRadius(edge, p, radii.front()).empty()) << e.ToString();
+    for (double r : radii) {
+      ExpectRadiusQueriesMatchBruteForce(tree, edge, p, r);
+    }
   }
 }
 
@@ -209,10 +285,17 @@ TEST(RTreeTest, IdsWithinRadiusMatchesWithinRadiusIdSet) {
   auto entries = RandomEntries(2000, rng, 1.0);
   RTree tree = RTree::Build(entries);
   // An entry's own point (radius 0 finds it), a point inside the map and
-  // one far outside it.
+  // one far outside it, at the sweep's radii, at 1,000 km, and at the exact
+  // distance of every 50th entry and one ulp either side of it.
   for (const LatLng& p : {entries[17].point, LatLng{40.4, -99.6},
                           LatLng{-35.0, 150.0}}) {
-    for (double radius : {0.0, 2.0, 15.0, 1000.0}) {
+    std::vector<double> radii(std::begin(kSweepRadiiKm),
+                              std::end(kSweepRadiiKm));
+    radii.push_back(1000.0);
+    for (size_t k = 0; k < entries.size(); k += 50) {
+      for (double r : BoundaryRadii(p, entries[k].point)) radii.push_back(r);
+    }
+    for (double radius : radii) {
       std::vector<int32_t> want;
       for (const auto& n : tree.WithinRadius(p, radius)) want.push_back(n.id);
       std::vector<int32_t> got = tree.IdsWithinRadius(p, radius);
@@ -220,9 +303,14 @@ TEST(RTreeTest, IdsWithinRadiusMatchesWithinRadiusIdSet) {
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, want) << "(" << p.lat << ", " << p.lng << ") r="
                            << radius;
+      EXPECT_EQ(got, BruteRadius(entries, p, radius))
+          << "(" << p.lat << ", " << p.lng << ") r=" << radius;
     }
   }
   EXPECT_FALSE(tree.IdsWithinRadius(entries[17].point, 0.0).empty());
+  EXPECT_FALSE(tree.IdsWithinRadius(entries[17].point, -0.0).empty());
+  EXPECT_EQ(tree.IdsWithinRadius({40.4, -99.6}, 20100.0).size(),
+            entries.size());
 }
 
 TEST(RTreeTest, KLargerThanSizeReturnsAll) {
