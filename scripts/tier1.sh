@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite (with the
-# kernel-dispatch tests rerun under both PA_SIMD extremes), a diff of both
-# table benches' smoke CSVs against bench/golden/, the serving smokes and a
+# kernel objects checked for FMA instructions and the kernel-dispatch tests
+# rerun under PA_SIMD scalar, avx2 and auto), a diff of both table benches'
+# smoke CSVs against bench/golden/, the serving smokes and a
 # short repository-benchmark run, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # cross-thread determinism, parallel eval/training paths, the NDJSON TCP
@@ -19,11 +20,34 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# No-FMA guard: the kernel tables' bit identity rests on -ffp-contract=off,
+# and -mavx512f is the first kernel flag that makes FMA instructions
+# available. A fused multiply-add in any kernel object fails tier1.
+kernel_objs=(build/src/tensor/CMakeFiles/pa_tensor.dir/kernels/*.o)
+[[ -f ${kernel_objs[0]} ]] \
+  || { echo "no kernel objects under build/src/tensor" >&2; exit 1; }
+# Disassemble on its own line so that an objdump failure stops the script;
+# the `|| true` only forgives grep finding nothing.
+dis=$(objdump -d "${kernel_objs[@]}")
+fma=$(grep -E 'vfn?m(add|sub)' <<<"$dis" || true)
+if [[ -n $fma ]]; then
+  echo "$fma" | head -n 5 >&2
+  echo "FMA instructions in the kernel objects (see -ffp-contract=off)" >&2
+  exit 1
+fi
+echo "kernel objects: no FMA instructions"
+
+# The PA_SIMD values the dispatch-sensitive checks rerun under: both
+# extremes, and avx2 where the CPU has it. On an AVX-512 host auto resolves
+# to avx512, so the avx2 table needs its own pass.
+simd_values=(scalar auto)
+if grep -qw avx2 /proc/cpuinfo; then simd_values=(scalar avx2 auto); fi
+
 # Kernel-dispatch cross-check: the tests that route through the SIMD kernel
-# tables rerun under both PA_SIMD extremes, so a bug that only manifests in
+# tables rerun under each of those values, so a bug that only manifests in
 # one dispatch variant (or in the env-resolution itself) cannot hide behind
 # whatever table the host auto-selected above.
-for simd in scalar auto; do
+for simd in "${simd_values[@]}"; do
   PA_SIMD=$simd ctest --test-dir build --output-on-failure \
     -R 'tensor_kernels_test|tensor_ops_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test'
 done
@@ -40,9 +64,9 @@ PA_FUSION=off ctest --test-dir build --output-on-failure \
 # Golden smoke tables: the CSV block each table bench prints under --smoke
 # must match its file in bench/golden/ byte for byte (the wall time prints
 # after the block). The blocks are the same under every kernel table and
-# thread count, so they are diffed under both PA_SIMD extremes; a change
+# thread count, so they are diffed under each PA_SIMD value above; a change
 # that moves a number fails here until its golden file moves with it.
-for simd in scalar auto; do
+for simd in "${simd_values[@]}"; do
   for table in table1_gowalla table2_brightkite; do
     PA_SIMD=$simd "build/bench/bench_$table" --smoke 2>/dev/null \
       | awk '/^CSV:$/ {on = 1; next} /^$/ {on = 0} on' \

@@ -9,6 +9,11 @@ namespace pa::geo {
 /// Mean Earth radius, kilometres.
 inline constexpr double kEarthRadiusKm = 6371.0088;
 
+/// The globe's bounds: |lat| <= 90 and |lng| <= 180. NaN and infinities
+/// fail (every comparison with NaN is false).
+inline bool IsValidLat(double lat) { return std::fabs(lat) <= 90.0; }
+inline bool IsValidLng(double lng) { return std::fabs(lng) <= 180.0; }
+
 /// A geographic coordinate in degrees.
 struct LatLng {
   double lat = 0.0;
@@ -16,6 +21,8 @@ struct LatLng {
 
   bool operator==(const LatLng& other) const = default;
   std::string ToString() const;
+  /// A point on the globe (`IsValidLat` and `IsValidLng`).
+  bool IsValid() const { return IsValidLat(lat) && IsValidLng(lng); }
 };
 
 /// Great-circle (haversine) distance in kilometres.

@@ -10,6 +10,8 @@
 #include <system_error>
 #include <vector>
 
+#include "geo/latlng.h"
+
 namespace pa::poi {
 
 bool SaveCheckinsCsv(std::ostream& os, const Dataset& dataset) {
@@ -58,11 +60,11 @@ constexpr const char* kFieldNames[5] = {"user", "timestamp", "lat", "lng",
                                         "poi"};
 
 void FieldError(std::string* why, int lineno, int field_idx,
-                const std::string& field) {
+                const std::string& field, const char* what) {
   if (why == nullptr) return;
   *why = "line " + std::to_string(lineno) + ": field " +
          std::to_string(field_idx + 1) + " (" + kFieldNames[field_idx] +
-         ") is not a valid number: \"" + field + "\"";
+         ") is not " + what + ": \"" + field + "\"";
 }
 
 }  // namespace
@@ -103,9 +105,19 @@ bool LoadCheckinsCsv(std::istream& is, Dataset* dataset, std::string* why) {
     for (int f = 0; f < 5 && ok; ++f) {
       ok = int_slots[f] != nullptr ? ParseField(fields[f], int_slots[f])
                                    : ParseField(fields[f], real_slots[f]);
-      if (!ok) FieldError(why, lineno, f, fields[f]);
+      if (!ok) FieldError(why, lineno, f, fields[f], "a valid number");
     }
     if (!ok) return false;
+    // from_chars accepts "nan" and "inf", and nothing bounds a number; a
+    // coordinate off the globe would sit at a bogus distance from every POI.
+    if (!geo::IsValidLat(r.coord.lat)) {
+      FieldError(why, lineno, 2, fields[2], "a latitude in [-90, 90]");
+      return false;
+    }
+    if (!geo::IsValidLng(r.coord.lng)) {
+      FieldError(why, lineno, 3, fields[3], "a longitude in [-180, 180]");
+      return false;
+    }
     records.push_back(r);
     user_ids.emplace(r.user, 0);
     if (poi_ids.emplace(r.poi, 0).second) poi_coords[r.poi] = r.coord;

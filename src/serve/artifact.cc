@@ -146,6 +146,11 @@ bool LoadArtifact(std::istream& is, LoadedModel* out, std::string* error) {
         !ReadPod(p, end, &pop)) {
       return Fail(error, "truncated artifact (POI block)");
     }
+    if (!c.IsValid()) {
+      return Fail(error, "POI " + std::to_string(i) +
+                             " has a coordinate off the globe: " +
+                             c.ToString());
+    }
     coords.push_back(c);
     popularity.push_back(pop);
   }

@@ -17,13 +17,16 @@ namespace {
   std::abort();
 }
 
-bool Avx2Supported() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
+bool Avx2Supported() { return __builtin_cpu_supports("avx2"); }
+
+bool Avx512Supported() {
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512dq");
 }
+#endif
 
 // Test/bench override; when set, wins on every thread.
 std::atomic<const KernelTable*> g_override{nullptr};
@@ -58,7 +61,16 @@ const KernelTable* Avx2Table() {
 #endif
 }
 
+const KernelTable* Avx512Table() {
+#if defined(__x86_64__) || defined(__i386__)
+  return Avx512Supported() ? &Avx512TableUnchecked() : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
 const KernelTable& BestSimdTable() {
+  if (const KernelTable* t = Avx512Table()) return *t;
   if (const KernelTable* t = Avx2Table()) return *t;
   return GenericTable();
 }

@@ -8,9 +8,9 @@ namespace pa::tensor::kernels {
 /// Table of the elementwise / row-reduction / GEMM inner kernels behind
 /// every tensor op hot loop, in the spirit of THTensor's generic/simd
 /// split: the same kernel source is compiled once as the scalar reference
-/// and once per SIMD target (plain auto-vectorized baseline, and an AVX2
-/// translation unit on x86-64), and one table is selected at startup by
-/// `Active()`.
+/// and once per SIMD target (plain auto-vectorized baseline, and AVX2 and
+/// AVX-512 translation units on x86-64), and one table is selected at
+/// startup by `Active()`.
 ///
 /// Contracts shared by every entry:
 ///  * Buffers are dense row-major float32. `n` is an element count (or the
@@ -37,7 +37,7 @@ namespace pa::tensor::kernels {
 ///    remaining bit-identical *between* the SIMD tables.
 ///  * `log` is libm in every table (cold op, never vectorized).
 struct KernelTable {
-  const char* name;  // "scalar" | "generic" | "avx2"
+  const char* name;  // "scalar" | "generic" | "avx2" | "avx512"
 
   // Elementwise binary (vector-vector) and scalar-broadcast forms.
   void (*add)(const float* a, const float* b, float* out, int64_t n);
@@ -129,6 +129,9 @@ const KernelTable& ScalarTable();
 const KernelTable& GenericTable();
 /// AVX2 table, or null when not compiled in or the CPU lacks AVX2.
 const KernelTable* Avx2Table();
+/// AVX-512 table, or null when not compiled in or the CPU lacks any of
+/// AVX-512F/VL/BW/DQ.
+const KernelTable* Avx512Table();
 /// The table `PA_SIMD=auto` resolves to on this machine.
 const KernelTable& BestSimdTable();
 
@@ -138,10 +141,12 @@ const KernelTable& BestSimdTable();
 void SetDispatchOverride(const KernelTable* table);
 
 #if defined(__x86_64__) || defined(__i386__)
-/// Implementation detail of the dispatch (defined in kernels_avx2.cc): the
-/// raw AVX2 table, ungated. Executing its kernels on a CPU without AVX2 is
-/// an illegal instruction — go through Avx2Table() instead.
+/// Implementation details of the dispatch (defined in kernels_avx2.cc and
+/// kernels_avx512.cc): the raw tables, ungated. Executing their kernels on
+/// a CPU without the ISA is an illegal instruction — go through
+/// Avx2Table() / Avx512Table() instead.
 const KernelTable& Avx2TableUnchecked();
+const KernelTable& Avx512TableUnchecked();
 #endif
 
 }  // namespace pa::tensor::kernels

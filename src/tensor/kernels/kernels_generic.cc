@@ -4,4 +4,5 @@
 #define PA_KERNEL_TABLE GenericTable
 #define PA_KERNEL_LABEL "generic"
 #define PA_KERNEL_FASTEXP 1
+#define PA_KERNEL_TILE 32
 #include "tensor/kernels/kernel_impl.inc"

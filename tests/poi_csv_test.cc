@@ -123,6 +123,46 @@ TEST(CsvTest, RejectsNegativeOverflow) {
   EXPECT_NE(why.find("user"), std::string::npos);
 }
 
+// from_chars reads "nan", "inf" and "infinity", and a number may lie off
+// the globe; every such coordinate is refused with its line and field.
+TEST(CsvTest, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  for (const char* lat : {"nan", "-nan", "inf", "-inf", "infinity", "90.5",
+                          "-91", "180.5", "-181"}) {
+    std::istringstream is("1,100,40.0,-100.0,5\n1,200," + std::string(lat) +
+                          ",-100.0,6\n");
+    Dataset d;
+    std::string why;
+    EXPECT_FALSE(LoadCheckinsCsv(is, &d, &why)) << lat;
+    EXPECT_NE(why.find("line 2: field 3 (lat)"), std::string::npos)
+        << lat << ": " << why;
+    EXPECT_NE(why.find(lat), std::string::npos) << lat << ": " << why;
+  }
+  for (const char* lng :
+       {"nan", "-nan", "inf", "-inf", "infinity", "180.5", "-181"}) {
+    std::istringstream is("1,100,40.0,-100.0,5\n1,200,40.0," +
+                          std::string(lng) + ",6\n");
+    Dataset d;
+    std::string why;
+    EXPECT_FALSE(LoadCheckinsCsv(is, &d, &why)) << lng;
+    EXPECT_NE(why.find("line 2: field 4 (lng)"), std::string::npos)
+        << lng << ": " << why;
+  }
+}
+
+TEST(CsvTest, LoadsCoordinatesOnTheRangeBounds) {
+  std::istringstream is(
+      "1,100,90,180,5\n"
+      "1,200,-90,-180,6\n"
+      "1,300,-90.0,180.0,7\n");
+  Dataset d;
+  std::string why;
+  ASSERT_TRUE(LoadCheckinsCsv(is, &d, &why)) << why;
+  ASSERT_EQ(d.num_pois(), 3);
+  EXPECT_EQ(d.pois.coord(0), (geo::LatLng{90.0, 180.0}));
+  EXPECT_EQ(d.pois.coord(1), (geo::LatLng{-90.0, -180.0}));
+  EXPECT_EQ(d.pois.coord(2), (geo::LatLng{-90.0, 180.0}));
+}
+
 TEST(CsvTest, SortsOutOfOrderRecords) {
   std::istringstream is(
       "1,300,40.0,-100.0,5\n"

@@ -152,6 +152,9 @@ std::vector<const kernels::KernelTable*> AllTables() {
   if (const kernels::KernelTable* avx2 = kernels::Avx2Table()) {
     tables.push_back(avx2);
   }
+  if (const kernels::KernelTable* avx512 = kernels::Avx512Table()) {
+    tables.push_back(avx512);
+  }
   return tables;
 }
 

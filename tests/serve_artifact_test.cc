@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -277,6 +278,50 @@ TEST(ArtifactQuantizedTest, RejectsBadQuantizedFlagAndFutureVersion) {
   EXPECT_FALSE(LoadArtifact(future, &loaded, &error));
   EXPECT_NE(error.find("unsupported artifact version"), std::string::npos)
       << error;
+}
+
+// A POI coordinate that is not finite or lies off the globe is refused by
+// name, even when the checksum holds; the bounds themselves load.
+TEST(ArtifactTest, LoadRejectsCoordinatesOffTheGlobe) {
+  poi::PoiTable pois = SmallPois();
+  auto model = rec::MakeRecommender("FPMC-LR", 7, 0.2);
+  model->Fit(CycleData(2, 30), pois);
+  std::stringstream artifact(std::ios::in | std::ios::out | std::ios::binary);
+  std::string error;
+  ASSERT_TRUE(SaveArtifact(artifact, *model, pois, &error)) << error;
+  const std::string bytes = artifact.str();
+
+  // Body: u64 name length, the name, i32 POI count, then per POI f64 lat,
+  // f64 lng and i64 popularity.
+  const std::string body = bytes.substr(16);
+  uint64_t name_len = 0;
+  std::memcpy(&name_len, body.data(), sizeof(name_len));
+  const size_t poi3 = sizeof(uint64_t) + name_len + sizeof(int32_t) + 3 * 24;
+  auto with_coord = [&](double lat, double lng) {
+    std::string mutated = body;
+    std::memcpy(mutated.data() + poi3, &lat, sizeof(lat));
+    std::memcpy(mutated.data() + poi3 + 8, &lng, sizeof(lng));
+    return std::stringstream(RepackArtifact(bytes, 2, std::move(mutated)),
+                             std::ios::in | std::ios::out | std::ios::binary);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const geo::LatLng bad[] = {{nan, -100.0}, {40.0, nan},   {inf, -100.0},
+                             {40.0, -inf},  {90.5, -100.0}, {-91.0, -100.0},
+                             {40.0, 180.5}, {40.0, -181.0}};
+  for (const geo::LatLng& c : bad) {
+    std::stringstream in = with_coord(c.lat, c.lng);
+    LoadedModel loaded;
+    EXPECT_FALSE(LoadArtifact(in, &loaded, &error)) << c.ToString();
+    EXPECT_NE(error.find("POI 3"), std::string::npos) << error;
+  }
+  for (const geo::LatLng& c : {geo::LatLng{90.0, 180.0},
+                               geo::LatLng{-90.0, -180.0}}) {
+    std::stringstream in = with_coord(c.lat, c.lng);
+    LoadedModel loaded;
+    ASSERT_TRUE(LoadArtifact(in, &loaded, &error)) << error;
+    EXPECT_EQ(loaded.pois->coord(3), c);
+  }
 }
 
 // --- Registry satellite behaviours. ----------------------------------------

@@ -11,9 +11,9 @@
 //     (libm) table; edge semantics (NaN propagation, saturation) match.
 //
 // The suite runs under whatever PA_SIMD the harness sets, but tests tables
-// explicitly via ScalarTable()/GenericTable()/Avx2Table(), so scripts/
-// tier1.sh running it twice (scalar + auto) exercises the ops-layer wiring
-// both ways while the table-vs-table assertions stay the same.
+// explicitly via ScalarTable()/GenericTable()/Avx2Table()/Avx512Table(), so
+// scripts/tier1.sh running it under several PA_SIMD values exercises the
+// ops-layer wiring each way while the table-vs-table assertions stay the same.
 
 #include <algorithm>
 #include <cmath>
@@ -39,12 +39,14 @@ constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
 std::vector<const KernelTable*> AllTables() {
   std::vector<const KernelTable*> tables = {&ScalarTable(), &GenericTable()};
   if (const KernelTable* avx2 = Avx2Table()) tables.push_back(avx2);
+  if (const KernelTable* avx512 = Avx512Table()) tables.push_back(avx512);
   return tables;
 }
 
 std::vector<const KernelTable*> SimdTables() {
   std::vector<const KernelTable*> tables = {&GenericTable()};
   if (const KernelTable* avx2 = Avx2Table()) tables.push_back(avx2);
+  if (const KernelTable* avx512 = Avx512Table()) tables.push_back(avx512);
   return tables;
 }
 
@@ -250,7 +252,11 @@ std::vector<float> MatMulInput(int64_t n, float zero_rate, float special_rate,
 TEST(KernelBitIdentityTest, MatMulBlockMatchesNaiveReference) {
   const std::vector<const KernelTable*> tables = AllTables();
   uint32_t salt = 0;
-  for (int n : {1, 7, 31, 32, 33, 64, 96, 100, 2600}) {
+  // Widths on and around every rung of the 32-, 48- and 96-column tile
+  // ladders (32/16/8/4/1, 48/16/8/4/1 and 96/48/16/8/4/1), plus the model's
+  // 21-, 192-, 555- and 2,600-column products.
+  for (int n : {1, 4, 7, 8, 16, 21, 31, 32, 33, 47, 48, 49, 64, 95, 96, 97,
+                100, 143, 191, 192, 555, 2600}) {
     for (int k : {1, 16, 24, 48}) {
       for (int m : {1, 3, 64}) {
         ++salt;
@@ -262,14 +268,16 @@ TEST(KernelBitIdentityTest, MatMulBlockMatchesNaiveReference) {
         std::vector<float> init =
             MatMulInput(static_cast<int64_t>(m) * n, 0.0f, 0.0f, salt * 7u);
         for (float& x : init) x += x < 0.0f ? -0.25f : 0.25f;
-        // Whole rows, a column range starting and ending off the 32-wide
-        // tile, one ending on n, and a row sub-range.
+        // Whole rows, column ranges starting and ending off every tile
+        // width, ranges ending on n, and a row sub-range.
         struct Range {
           int row_lo, row_hi, col_lo, col_hi;
         };
         std::vector<Range> ranges = {{0, m, 0, n}};
         if (n > 5) ranges.push_back({0, m, 5, std::min(n, 70)});
         if (n > 37) ranges.push_back({0, m, n - 37, n});
+        if (n > 21) ranges.push_back({0, m, n - 21, n});
+        if (n > 6) ranges.push_back({0, m, 3, n - 3});
         if (m > 1) ranges.push_back({1, m, n / 3, n});
         for (const Range& r : ranges) {
           std::vector<float> ref = init;
@@ -373,18 +381,20 @@ TEST(KernelBitIdentityTest, MatMulGradMatchesNaiveReference) {
 TEST(KernelExpFamilyTest, SimdTablesBitIdenticalToEachOther) {
   const std::vector<const KernelTable*> simd = SimdTables();
   if (simd.size() < 2) GTEST_SKIP() << "only one SIMD table on this host";
-  for (int64_t n : kLengths) {
-    const std::vector<float> a = EdgeInput(n, 8);
-    for (auto [op, k0, k1] :
-         {std::tuple{"sigmoid", simd[0]->sigmoid, simd[1]->sigmoid},
-          std::tuple{"tanh", simd[0]->tanh, simd[1]->tanh},
-          std::tuple{"exp", simd[0]->exp, simd[1]->exp}}) {
-      std::vector<float> r0(a.size()), r1(a.size());
-      k0(a.data(), r0.data(), n);
-      k1(a.data(), r1.data(), n);
-      ExpectBitIdentical(r0, r1,
-                         std::string(op) + " generic-vs-avx2 n=" +
-                             std::to_string(n));
+  for (size_t t = 1; t < simd.size(); ++t) {
+    for (int64_t n : kLengths) {
+      const std::vector<float> a = EdgeInput(n, 8);
+      for (auto [op, k0, k1] :
+           {std::tuple{"sigmoid", simd[0]->sigmoid, simd[t]->sigmoid},
+            std::tuple{"tanh", simd[0]->tanh, simd[t]->tanh},
+            std::tuple{"exp", simd[0]->exp, simd[t]->exp}}) {
+        std::vector<float> r0(a.size()), r1(a.size());
+        k0(a.data(), r0.data(), n);
+        k1(a.data(), r1.data(), n);
+        ExpectBitIdentical(r0, r1,
+                           std::string(op) + " " + simd[0]->name + "-vs-" +
+                               simd[t]->name + " n=" + std::to_string(n));
+      }
     }
   }
 }
@@ -505,6 +515,11 @@ TEST(DispatchTest, OverrideAndNamesRoundTrip) {
   EXPECT_STREQ(GenericTable().name, "generic");
   if (const KernelTable* avx2 = Avx2Table()) {
     EXPECT_STREQ(avx2->name, "avx2");
+  }
+  if (const KernelTable* avx512 = Avx512Table()) {
+    EXPECT_STREQ(avx512->name, "avx512");
+    // auto prefers the widest table the CPU runs.
+    EXPECT_EQ(&BestSimdTable(), avx512);
   }
 }
 

@@ -234,5 +234,13 @@ TEST_F(TrainingGoldenTest, Avx2TableMatchesGoldenHashes) {
   ExpectGolden(*avx2, kSimdGolden);
 }
 
+TEST_F(TrainingGoldenTest, Avx512TableMatchesGoldenHashes) {
+  const tensor::kernels::KernelTable* avx512 = tensor::kernels::Avx512Table();
+  if (avx512 == nullptr) {
+    GTEST_SKIP() << "no AVX-512 table on this build or CPU";
+  }
+  ExpectGolden(*avx512, kSimdGolden);
+}
+
 }  // namespace
 }  // namespace pa
