@@ -22,8 +22,10 @@
 // scalar reference table (SetDispatchOverride), interleaved with the SIMD
 // passes so host drift cancels; *_simd_speedup is scalar-ns / simd-ns, and
 // the non-smoke gate requires >= 1.5x on the lstm/st_clstm fast paths. All
-// other arms are pinned to the best SIMD table, so the gates don't depend
-// on the PA_SIMD environment the bench happens to run under.
+// other arms are pinned to the SIMD table PA_SIMD resolves to (auto: the
+// best the CPU supports; avx2 or generic to time that table instead), and
+// the JSON stamps it as `simd_table`. PA_SIMD=scalar is refused (exit 2):
+// its *_simd_speedup gates would time the scalar table against itself.
 //
 // Schema v3 adds the operator-fusion arm: `nograph` runs under
 // ScopedFusionDisable (the cells' tensor-op bodies on the graph-free path,
@@ -147,7 +149,8 @@ struct ModePair {
 template <typename InitFn, typename GraphFn, typename FastFn>
 ModePair TimeModePair(InitFn init, GraphFn step_graph, FastFn step_fast,
                       int steps, int rollouts, int reps) {
-  const tensor::kernels::KernelTable& simd = tensor::kernels::BestSimdTable();
+  // Run() has pinned the SIMD table for the whole run.
+  const tensor::kernels::KernelTable& simd = tensor::kernels::Active();
   const tensor::kernels::KernelTable& scalar = tensor::kernels::ScalarTable();
   ModePair pair;
   pair.graph.ns_per_step = 1e300;
@@ -352,15 +355,22 @@ int Run(bool smoke) {
   const int rollouts = smoke ? 2 : 60;
   const int reps = smoke ? 1 : 3;
 
-  // Pin kernel dispatch for the whole run: every arm states its table
-  // explicitly, so the numbers (and gates) don't depend on the PA_SIMD
-  // environment the bench happens to inherit.
-  tensor::kernels::SetDispatchOverride(&tensor::kernels::BestSimdTable());
+  // Pin kernel dispatch for the whole run to the table PA_SIMD resolves to
+  // (read before any override is installed); the scalar arms pin the
+  // reference table explicitly.
+  const tensor::kernels::KernelTable& simd = tensor::kernels::Active();
+  if (&simd == &tensor::kernels::ScalarTable()) {
+    std::fprintf(stderr,
+                 "bench_inference_path: PA_SIMD=scalar leaves no SIMD table "
+                 "to time against the scalar reference; use auto, avx2 or "
+                 "generic\n");
+    return 2;
+  }
+  tensor::kernels::SetDispatchOverride(&simd);
 
   std::printf("inference fast path vs graph-building forward%s\n",
               smoke ? " (smoke)" : "");
-  std::printf("  kernel dispatch: simd=%s scalar=%s\n",
-              tensor::kernels::BestSimdTable().name,
+  std::printf("  kernel dispatch: simd=%s scalar=%s\n", simd.name,
               tensor::kernels::ScalarTable().name);
 
   const ModePair lstm = BenchLstmForward(16, 24, steps, rollouts, reps);
@@ -440,7 +450,7 @@ int Run(bool smoke) {
       .Field("bench", "inference_path")
       .Field("schema_version", 4)
       .Field("smoke", smoke)
-      .Field("simd_table", tensor::kernels::BestSimdTable().name)
+      .Field("simd_table", simd.name)
       .Field("hardware_concurrency",
              int64_t{std::thread::hardware_concurrency()})
       .Field("fusion_enabled", tensor::fusion::Enabled())

@@ -84,6 +84,24 @@ echo "golden smoke tables: OK"
 # BENCH file fails here rather than in CI diffing.
 PA_BENCH_DIR=build build/bench/bench_inference_path --smoke
 python3 scripts/bench_compare.py --schema build/BENCH_inference.json
+# The bench times and stamps the table PA_SIMD resolves to, so an AVX-512
+# host can still write an avx2 file; PA_SIMD=scalar is refused (exit 2),
+# since its *_simd_speedup gates would time the scalar table against itself.
+if grep -qw avx2 /proc/cpuinfo; then
+  mkdir -p build/tier1_simd_avx2
+  PA_SIMD=avx2 PA_BENCH_DIR=build/tier1_simd_avx2 \
+    build/bench/bench_inference_path --smoke >/dev/null
+  grep -q '"simd_table":"avx2"' build/tier1_simd_avx2/BENCH_inference.json \
+    || { echo "PA_SIMD=avx2 bench_inference_path did not stamp avx2" >&2
+         exit 1; }
+  status=0
+  PA_SIMD=scalar PA_BENCH_DIR=build/tier1_simd_avx2 \
+    build/bench/bench_inference_path --smoke >/dev/null 2>&1 || status=$?
+  [[ $status -eq 2 ]] \
+    || { echo "PA_SIMD=scalar bench_inference_path exited $status, want 2" >&2
+         exit 1; }
+  echo "bench_inference_path: PA_SIMD=avx2 stamps avx2, scalar refused"
+fi
 
 # Serving-path smoke: bench_serving --smoke drives all four serving arms
 # (baseline engine, sharded router at K=1/K=4, networked NDJSON replay with
@@ -382,26 +400,29 @@ fi
 # TSan pass: the tests that exercise the parallel execution layer and the
 # concurrent serving state (session LRU, request engine) get rebuilt under
 # -fsanitize=thread; a race anywhere in ParallelFor users, the session
-# store, or the thread-local inference buffer pools shows up here even on a
-# single-core host.
+# store, the thread-local inference buffer pools or the per-Backward
+# transposed operands (tensor_ops_test runs two Backward walks over one
+# shared weight at once) shows up here even on a single-core host.
 cmake -B build-tsan -S . -DPA_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
   util_thread_pool_test parallel_determinism_test \
   serve_session_store_test serve_engine_test \
   tensor_inference_test tensor_fusion_test inference_equivalence_test \
-  tensor_kernels_test \
+  tensor_kernels_test tensor_ops_test \
   obs_metrics_test obs_trace_test obs_slow_trace_test \
   obs_health_test obs_telemetry_test obs_http_exposition_test \
   net_server_test net_trace_test serve_shard_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'util_thread_pool_test|parallel_determinism_test|serve_session_store_test|serve_engine_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test|tensor_kernels_test|obs_metrics_test|obs_trace_test|obs_slow_trace_test|obs_health_test|obs_telemetry_test|obs_http_exposition_test|net_server_test|net_trace_test|serve_shard_test'
+  -R 'util_thread_pool_test|parallel_determinism_test|serve_session_store_test|serve_engine_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test|tensor_kernels_test|tensor_ops_test|obs_metrics_test|obs_trace_test|obs_slow_trace_test|obs_health_test|obs_telemetry_test|obs_http_exposition_test|net_server_test|net_trace_test|serve_shard_test'
 
 # ASan/UBSan pass over the checkpoint parser, the serving subsystem
 # (including the request-field boundary checks), the top-k selection, and
 # the kernel layer: these tests feed truncated/corrupted byte streams,
 # hammer the session LRU from request paths, and push NaN/inf/denormal edge
 # tensors through every kernel table — exactly where memory bugs and UB
-# (bad float->int casts, OOB tails past a vector width) would hide. The
+# (bad float->int casts, OOB tails past a vector width) would hide. The op
+# and gradient-check suites hand MatMul's backward the raw pointers of the
+# per-Backward transposed operands and of its dA scratch. The
 # kernel suite runs under both PA_SIMD extremes here too, and the fusion
 # suite rides along because the cells' explicit forwards hand raw column
 # offsets and scratch layouts (gate blocks inside one row, matmul_block
@@ -423,10 +444,11 @@ cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
   serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test \
+  tensor_ops_test tensor_gradcheck_test \
   augment_pa_seq2seq_test augment_extensions_test \
   augment_linear_interpolation_test training_golden_test \
   rec_pa_seq2seq_direct_test geo_rtree_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|tensor_ops_test|tensor_gradcheck_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -21,12 +21,12 @@ namespace pa::tensor::kernels {
 ///  * The row reductions (`softmax`, `log_softmax`) allow `out` to alias
 ///    `a` exactly, and treat `n <= 0` as a no-op: this is the shared
 ///    empty-row guard — callers never read `row[0]` of a zero-width row.
-///  * `matmul_block`, `matmul_grad_a` and `matmul_grad_b` require their
-///    output disjoint from the inputs.
+///  * `matmul_block` and `matmul_grad_b` require their output disjoint
+///    from the inputs.
 ///
 /// Bit-identity contract (asserted by tests/tensor_kernels_test.cc):
-///  * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_a/
-///    matmul_grad_b are bit-identical across all tables: the
+///  * add/sub/mul/addc/subc/mulc/relu/square/matmul_block/matmul_grad_b
+///    are bit-identical across all tables: the
 ///    per-element arithmetic is the same source compiled without FMA
 ///    contraction, so lane width never changes a result.
 ///  * sigmoid/tanh/exp/softmax/log_softmax route through expf. The scalar
@@ -67,14 +67,11 @@ struct KernelTable {
   void (*matmul_block)(const float* a, const float* b, float* out, int k,
                        int n, int row_lo, int row_hi, int col_lo, int col_hi);
 
-  // MatMul's backward for Y = A B, A [m, k], B [k, n], dY [m, n]. These are
-  // the exact sequences of the engine's original closure loops:
-  //  * matmul_grad_a: da[i, p] += sum_j dy[i, j] * b[p, j]. Each sum starts
-  //    from +0, runs in ascending j, and is then added to da once.
-  //  * matmul_grad_b: db[p, j] += a[i, p] * dy[i, j] in ascending i,
-  //    skipping every i where a[i, p] is exactly zero.
-  void (*matmul_grad_a)(const float* dy, const float* b, float* da, int m,
-                        int k, int n);
+  // dB half of MatMul's backward for Y = A B, A [m, k], B [k, n], dY
+  // [m, n]: db[p, j] += a[i, p] * dy[i, j] in ascending i, skipping every i
+  // where a[i, p] is exactly zero — the exact sequence of the engine's
+  // original closure loop. (The dA half is `matmul_block` over a transposed
+  // B; see MatMul in ops.cc.)
   void (*matmul_grad_b)(const float* a, const float* dy, float* db, int m,
                         int k, int n);
 

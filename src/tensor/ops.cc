@@ -370,6 +370,14 @@ Tensor Lerp(const Tensor& mask, const Tensor& a, Tensor&& b) {
 // grains (users in EvaluateHr, items in mini-batch training, shards in
 // serving). Forward and backward are dispatched kernels whose sums run in a
 // fixed order, so the table choice never changes a bit (kernels.h).
+//
+// dA = dY B^T runs as the forward kernel over B transposed (built once per
+// Backward walk and shared by every node that reads B) into a zeroed
+// scratch, which is then added to dA. So each dA[i, p] is still +0 plus
+// dY[i, j] * B[p, j] over ascending j, added into dA once. The forward
+// kernel skips exact-zero dY[i, j] terms; a ±0 term cannot change a sum that
+// starts at +0, so this gives the same bits unless B holds ±inf or NaN in a
+// column where dY is zero (DESIGN.md, "MatMul's backward").
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (a.cols() != b.rows()) {
     Fatal("MatMul: inner dims mismatch " + a.shape().ToString() + " x " +
@@ -391,8 +399,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       {m, n}, std::move(out), {a, b}, [ai, bi, m, k, n](TensorImpl& y) {
         const kernels::KernelTable& bk = kernels::Active();
         if (NeedsGrad(*ai)) {
-          bk.matmul_grad_a(y.grad.data(), bi->data.data(),
-                           internal::GradBuffer(*ai).data(), m, k, n);
+          thread_local std::vector<float> scratch;
+          scratch.assign(static_cast<size_t>(m) * k, 0.0f);
+          bk.matmul_block(y.grad.data(), internal::TransposedData(*bi),
+                          scratch.data(), n, k, 0, m, 0, k);
+          float* da = internal::GradBuffer(*ai).data();
+          bk.add(da, scratch.data(), da, static_cast<int64_t>(m) * k);
         }
         if (NeedsGrad(*bi)) {
           bk.matmul_grad_b(ai->data.data(), y.grad.data(),

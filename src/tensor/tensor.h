@@ -62,6 +62,15 @@ struct TensorImpl {
 /// backward closures route their parent-gradient writes through this.
 std::vector<float>& GradBuffer(TensorImpl& impl);
 
+/// `impl.data` transposed: row-major [cols, rows]. The copy is built on the
+/// first request during the `Tensor::Backward()` running on this thread,
+/// shared by every later request for `impl` in that walk (MatMul's backward
+/// asks once per node that reads `impl` as its B), and freed when Backward
+/// returns, so data edited between two Backward calls is never read stale.
+/// Each thread's walk has its own copies; `impl` itself is only read.
+/// Aborts when no Backward is running on this thread.
+const float* TransposedData(const TensorImpl& impl);
+
 /// True while the calling thread is inside at least one `InferenceModeScope`
 /// (and the process-wide test override below is not engaged). Ops consult
 /// this once per call to pick the graph-free path.

@@ -1,7 +1,14 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -212,6 +219,278 @@ TEST(OpsTest, ScaleAndAddScalar) {
   Tensor a = Tensor::FromData({1, 2}, {2, 4});
   EXPECT_FLOAT_EQ(Scale(a, 0.5f).at(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(AddScalar(a, 1.0f).at(0, 0), 3.0f);
+}
+
+// --- MatMul's input gradient. For Y = A B, dA = dY B^T runs as the forward
+// kernel over a transposed copy of B that Tensor::Backward builds once per
+// walk. These tests pin its bits against the contract, under every kernel
+// table, and pin the transposed copy's lifetime.
+
+std::vector<const kernels::KernelTable*> AllTables() {
+  std::vector<const kernels::KernelTable*> tables = {
+      &kernels::ScalarTable(), &kernels::GenericTable()};
+  if (const kernels::KernelTable* t = kernels::Avx2Table()) tables.push_back(t);
+  if (const kernels::KernelTable* t = kernels::Avx512Table()) {
+    tables.push_back(t);
+  }
+  return tables;
+}
+
+// Pins `table` for the scope's life, then restores the PA_SIMD choice.
+class DispatchOverride {
+ public:
+  explicit DispatchOverride(const kernels::KernelTable* table) {
+    kernels::SetDispatchOverride(table);
+  }
+  ~DispatchOverride() { kernels::SetDispatchOverride(nullptr); }
+  DispatchOverride(const DispatchOverride&) = delete;
+  DispatchOverride& operator=(const DispatchOverride&) = delete;
+};
+
+// Deterministic values in [-10, 10), with exact zeros of either sign at
+// about `zero_rate`.
+std::vector<float> Values(int64_t n, float zero_rate, uint32_t salt) {
+  std::vector<float> v(static_cast<size_t>(n));
+  uint32_t state = 0x9e3779b9u ^ (salt * 2654435761u);
+  auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<float>(state >> 8) / static_cast<float>(1u << 24);
+  };
+  for (float& x : v) {
+    const float u = next();
+    x = u < zero_rate ? (u < zero_rate / 2 ? -0.0f : 0.0f)
+                      : (next() - 0.5f) * 20.0f;
+  }
+  return v;
+}
+
+// dA as MatMul's backward defines it, for A [m, k], B [k, n]: each
+// dA[i, p] is +0 plus dY[i, j] * B[p, j] over ascending j, skipping every
+// exact-zero dY[i, j], and is then added into dA once.
+std::vector<float> ReferenceInputGrad(const std::vector<float>& dy,
+                                      const std::vector<float>& b,
+                                      std::vector<float> da, int m, int k,
+                                      int n) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < n; ++j) {
+        const float g = dy[i * n + j];
+        if (g == 0.0f) continue;
+        acc += g * b[p * n + j];
+      }
+      da[i * k + p] += acc;
+    }
+  }
+  return da;
+}
+
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  if (std::memcmp(want.data(), got.data(), want.size() * sizeof(float)) == 0) {
+    return;
+  }
+  size_t i = 0;
+  while (std::memcmp(&want[i], &got[i], sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << ": first difference at " << i << ": want "
+                << want[i] << ", got " << got[i];
+}
+
+void SetGrad(Tensor t, const std::vector<float>& g) {
+  ASSERT_EQ(static_cast<int64_t>(g.size()), t.numel());
+  std::memcpy(t.grad_data(), g.data(), g.size() * sizeof(float));
+}
+
+// A scalar that reads `y` through a zero-width slice: Backward walks y's
+// node but adds nothing to its gradient, so dY is exactly what SetGrad put
+// there, -0 included (a gradient summed by the graph starts at +0).
+Tensor ReadsNothing(const Tensor& y) { return Sum(SliceCols(y, 0, 0)); }
+
+// A's gradient after one Backward through MatMul(a, b) with dY = `dy`,
+// starting from `da0`.
+std::vector<float> InputGrad(const std::vector<float>& a_data, const Tensor& b,
+                             const std::vector<float>& dy,
+                             const std::vector<float>& da0) {
+  const int m = static_cast<int>(a_data.size()) / b.rows();
+  Tensor a = Tensor::FromData({m, b.rows()}, a_data, /*requires_grad=*/true);
+  SetGrad(a, da0);
+  Tensor y = MatMul(a, b);
+  SetGrad(y, dy);
+  ReadsNothing(y).Backward();
+  return a.grad_vector();
+}
+
+std::string ShapeName(const kernels::KernelTable* table, int m, int k,
+                      int n) {
+  return std::string(table->name) + " m=" + std::to_string(m) +
+         " k=" + std::to_string(k) + " n=" + std::to_string(n);
+}
+
+TEST(MatMulInputGradTest, MatchesReferenceUnderEveryTable) {
+  uint32_t salt = 0;
+  // k lands on every rung of the 32-, 48- and 96-column ladders.
+  for (int k : {1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 47, 48, 49, 95, 96, 97,
+                192}) {
+    for (int n : {1, 7, 33, 96, 2600}) {
+      for (int m : {1, 3}) {
+        ++salt;
+        const std::vector<float> a = Values(int64_t{m} * k, 0.1f, salt);
+        const std::vector<float> b = Values(int64_t{k} * n, 0.05f, ~salt);
+        // About 30% of dY is ±0, so the skip fires; dA starts nonzero.
+        const std::vector<float> dy = Values(int64_t{m} * n, 0.3f, salt * 7u);
+        const std::vector<float> da0 = Values(int64_t{m} * k, 0.0f, salt * 13u);
+        const std::vector<float> want = ReferenceInputGrad(dy, b, da0, m, k, n);
+        const Tensor bt = Tensor::FromData({k, n}, b);
+        for (const kernels::KernelTable* table : AllTables()) {
+          DispatchOverride pin(table);
+          ExpectSameBits(want, InputGrad(a, bt, dy, da0),
+                         ShapeName(table, m, k, n));
+        }
+      }
+    }
+  }
+}
+
+// A ±inf or NaN in B contributes nothing where dY is exactly zero: the
+// zero term is skipped, as the forward skips exact-zero A terms, instead
+// of summing 0 * inf = NaN into dA.
+TEST(MatMulInputGradTest, SkipsNonFiniteBWhereDyIsZero) {
+  const int m = 2, k = 5, n = 9;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> b = Values(int64_t{k} * n, 0.0f, 77);
+  std::vector<float> dy = Values(int64_t{m} * n, 0.0f, 78);
+  // Column 3: dY is +0 and -0, and B holds +inf, -inf and NaN.
+  dy[0 * n + 3] = 0.0f;
+  dy[1 * n + 3] = -0.0f;
+  b[0 * n + 3] = kInf;
+  b[1 * n + 3] = -kInf;
+  b[2 * n + 3] = std::numeric_limits<float>::quiet_NaN();
+  // Column 6: B[4, 6] is +inf, and only row 0 of dY is nonzero there.
+  dy[0 * n + 6] = 1.5f;
+  dy[1 * n + 6] = 0.0f;
+  b[4 * n + 6] = kInf;
+  const std::vector<float> da0 = Values(int64_t{m} * k, 0.0f, 79);
+  const std::vector<float> want = ReferenceInputGrad(dy, b, da0, m, k, n);
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      const float v = want[static_cast<size_t>(i * k + p)];
+      if (i == 0 && p == 4) {
+        EXPECT_EQ(v, kInf);
+      } else {
+        EXPECT_TRUE(std::isfinite(v)) << "dA[" << i << ", " << p << "]";
+      }
+    }
+  }
+  const Tensor bt = Tensor::FromData({k, n}, b);
+  for (const kernels::KernelTable* table : AllTables()) {
+    DispatchOverride pin(table);
+    ExpectSameBits(want, InputGrad(Values(int64_t{m} * k, 0.0f, 80), bt, dy,
+                                   da0),
+                   ShapeName(table, m, k, n));
+  }
+}
+
+// Three nodes read one leaf W in one graph, and a fourth reads an interior
+// B (W transposed by the Transpose op): each A gets its own dY's gradient.
+TEST(MatMulInputGradTest, NodesReadingOneWeightInOneGraph) {
+  const int k = 48, n = 130;
+  const std::vector<float> w_data = Values(int64_t{k} * n, 0.05f, 90);
+  std::vector<float> wt_data(w_data.size());
+  for (int p = 0; p < k; ++p) {
+    for (int j = 0; j < n; ++j) wt_data[j * k + p] = w_data[p * n + j];
+  }
+  const Tensor w = Tensor::FromData({k, n}, w_data, /*requires_grad=*/true);
+  for (const kernels::KernelTable* table : AllTables()) {
+    DispatchOverride pin(table);
+    std::vector<Tensor> xs, ys;
+    std::vector<std::vector<float>> want;
+    Tensor loss = Tensor::Scalar(0.0f);
+    for (int r = 0; r < 4; ++r) {
+      const bool reads_transpose = r == 3;
+      const int m = 1 + r % 2, inner = reads_transpose ? n : k;
+      const int cols = reads_transpose ? k : n;
+      const uint32_t salt = 100u + static_cast<uint32_t>(r);
+      const std::vector<float> dy = Values(int64_t{m} * cols, 0.2f, salt);
+      const std::vector<float> da0 = Values(int64_t{m} * inner, 0.0f, ~salt);
+      xs.push_back(Tensor::FromData({m, inner},
+                                    Values(int64_t{m} * inner, 0.0f, salt * 3u),
+                                    /*requires_grad=*/true));
+      SetGrad(xs.back(), da0);
+      ys.push_back(MatMul(xs.back(), reads_transpose ? Transpose(w) : w));
+      SetGrad(ys.back(), dy);
+      loss = Add(loss, ReadsNothing(ys.back()));
+      want.push_back(ReferenceInputGrad(dy, reads_transpose ? wt_data : w_data,
+                                        da0, m, inner, cols));
+    }
+    loss.Backward();
+    for (int r = 0; r < 4; ++r) {
+      ExpectSameBits(want[r], xs[r].grad_vector(),
+                     std::string(table->name) + " reader " + std::to_string(r));
+    }
+  }
+}
+
+// The transposed copy lives for one Backward: after W is edited in place,
+// the next Backward's dA follows the new W.
+TEST(MatMulInputGradTest, FollowsAWeightEditedBetweenBackwardCalls) {
+  const int m = 1, k = 24, n = 600;
+  const std::vector<float> before = Values(int64_t{k} * n, 0.05f, 200);
+  const std::vector<float> after = Values(int64_t{k} * n, 0.05f, 201);
+  const std::vector<float> a = Values(int64_t{m} * k, 0.0f, 202);
+  const std::vector<float> dy = Values(int64_t{m} * n, 0.2f, 203);
+  const std::vector<float> da0(static_cast<size_t>(m) * k, 0.0f);
+  Tensor w = Tensor::FromData({k, n}, before, /*requires_grad=*/true);
+  for (const kernels::KernelTable* table : AllTables()) {
+    DispatchOverride pin(table);
+    std::memcpy(w.data(), before.data(), before.size() * sizeof(float));
+    ExpectSameBits(ReferenceInputGrad(dy, before, da0, m, k, n),
+                   InputGrad(a, w, dy, da0),
+                   std::string(table->name) + " before the edit");
+    std::memcpy(w.data(), after.data(), after.size() * sizeof(float));
+    ExpectSameBits(ReferenceInputGrad(dy, after, da0, m, k, n),
+                   InputGrad(a, w, dy, da0),
+                   std::string(table->name) + " after the edit");
+  }
+}
+
+// Two threads run Backward at once over graphs that share one W, each
+// with its gradients redirected as mini-batch training does: each walk
+// builds its own transposed copy, and W is only read.
+TEST(MatMulInputGradTest, ConcurrentBackwardsShareOneWeight) {
+  const int m = 1, k = 48, n = 600;
+  const Tensor w = Tensor::FromData({k, n}, Values(int64_t{k} * n, 0.05f, 300),
+                                    /*requires_grad=*/true);
+  const std::vector<float> w_data(w.data(), w.data() + w.numel());
+  struct Item {
+    std::vector<float> a, dy, da0, want;
+    bool same = true;
+  };
+  for (const kernels::KernelTable* table : AllTables()) {
+    DispatchOverride pin(table);
+    Item items[2];
+    for (uint32_t t = 0; t < 2; ++t) {
+      Item& it = items[t];
+      it.a = Values(int64_t{m} * k, 0.0f, 310 + t);
+      it.dy = Values(int64_t{m} * n, 0.2f, 320 + t);
+      it.da0 = Values(int64_t{m} * k, 0.0f, 330 + t);
+      it.want = ReferenceInputGrad(it.dy, w_data, it.da0, m, k, n);
+    }
+    auto run = [&w](Item* it) {
+      for (int rep = 0; rep < 20; ++rep) {
+        GradRedirectScope redirect({w});
+        const std::vector<float> got = InputGrad(it->a, w, it->dy, it->da0);
+        it->same = it->same && std::memcmp(got.data(), it->want.data(),
+                                           got.size() * sizeof(float)) == 0;
+      }
+    };
+    std::thread first(run, &items[0]);
+    std::thread second(run, &items[1]);
+    first.join();
+    second.join();
+    EXPECT_TRUE(items[0].same) << table->name << " thread 0";
+    EXPECT_TRUE(items[1].same) << table->name << " thread 1";
+  }
 }
 
 }  // namespace

@@ -138,6 +138,13 @@ TEST(TensorDeathTest, AccessorsOnUndefinedTensorAbortWithMessage) {
   EXPECT_DEATH(t.data(), "default-constructed");
 }
 
+TEST(TensorDeathTest, TransposedDataOutsideBackwardAborts) {
+  // The transposed operands live only for one Backward walk; a request
+  // from anywhere else is a programming error.
+  Tensor w = Tensor::Zeros({2, 3});
+  EXPECT_DEATH(internal::TransposedData(*w.impl()), "outside Tensor::Backward");
+}
+
 TEST(ShapeTest, EqualityAndToString) {
   Shape a{2, 3}, b{2, 3}, c{3, 2};
   EXPECT_EQ(a, b);
