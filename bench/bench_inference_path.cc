@@ -69,11 +69,11 @@
 #include "nn/layers.h"
 #include "nn/lstm.h"
 #include "nn/st_clstm.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "poi/synthetic.h"
 #include "rec/registry.h"
-#include "serve/json.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
@@ -445,7 +445,7 @@ int Run(bool smoke) {
   const bool identical = lstm.identical() && st_clstm.identical() &&
                          lstm_big.identical() && topk_identical;
 
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("bench", "inference_path")
       .Field("schema_version", 4)

@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "eval/hr_metric.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "poi/synthetic.h"
 #include "rec/fpmc_lr.h"
-#include "serve/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -110,7 +110,7 @@ int Run() {
 
   // Machine-readable summary for CI tracking (working directory, or
   // $PA_BENCH_DIR when set).
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("bench", "parallel_eval")
       .Field("schema_version", 1)

@@ -3,23 +3,21 @@
 // loads it back the way a serving process would, and drives the full
 // serving stack through four arms:
 //
-//   1. engine    — the original single serve::Engine batched replay
-//                  (baseline; end-to-end p50/p95/p99 + throughput).
-//   2. sharded   — the same stream through net::ShardedEngine at K=1 and
+//   1. sharded   — the query stream through net::ShardedEngine at K=1 and
 //                  K=--shards, measuring the router's scaling. The >=2x
 //                  speedup gate is hardware-aware: it only fires when the
 //                  host actually has >= --shards cores.
-//   3. net       — NdjsonServer + dispatcher over a K-shard engine, driven
+//   2. net       — NdjsonServer + dispatcher over a K-shard engine, driven
 //                  by pipelined TCP clients, with a zero-downtime model
 //                  flip (activate to a freshly published version) in the
 //                  middle of the replay. Gates: zero dropped/failed
 //                  responses, server-side p99 within the deadline.
-//   4. overload  — paced traffic at 2x the measured sustainable rate
+//   3. overload  — paced traffic at 2x the measured sustainable rate
 //                  against a bounded-queue engine. Gates: sheds are typed
 //                  `overloaded`, and the p99 of *accepted* requests stays
 //                  within the deadline (admission control protects the
 //                  tail instead of letting the queue collapse it).
-//   5. tracing   — a frozen topk-only stream replayed serially over one
+//   4. tracing   — a frozen topk-only stream replayed serially over one
 //                  connection twice, request tracing off then on. Topk
 //                  never mutates session state, so the two passes must
 //                  return byte-identical poi arrays; the timing gate is
@@ -56,12 +54,12 @@
 #include "net/ndjson_server.h"
 #include "net/sharded_engine.h"
 #include "net/socket_util.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slow_trace.h"
 #include "poi/synthetic.h"
 #include "rec/registry.h"
 #include "serve/engine.h"
-#include "serve/json.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
 
@@ -260,7 +258,7 @@ NetClientResult RunNetClient(uint16_t port,
 }
 
 std::string TopKLine(const poi::Checkin& c) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("op", "topk")
       .Field("user", int64_t{c.user})
@@ -392,9 +390,8 @@ int Run(const Options& opt) {
               "shards)...\n",
               queries.size(), hardware_threads, opt.shards);
 
-  serve::EngineConfig engine_config;  // Default 250 ms deadline.
-  const double deadline_us =
-      static_cast<double>(engine_config.deadline_ms) * 1000.0;
+  const int64_t deadline_ms = net::ShardedEngineConfig{}.deadline_ms;
+  const double deadline_us = static_cast<double>(deadline_ms) * 1000.0;
 
   bool gate_failed = false;
   auto gate = [&](bool ok, const char* what) {
@@ -404,43 +401,7 @@ int Run(const Options& opt) {
     }
   };
 
-  // --- Arm 1: baseline single serve::Engine, batched replay. --------------
-  uint64_t baseline_failed = 0;
-  double baseline_qps = 0.0, baseline_elapsed = 0.0;
-  std::string baseline_engine_json;
-  constexpr int kBatch = 16;
-  {
-    serve::Engine engine(shared_model, engine_config);
-    for (const UserStream& s : streams) {
-      for (const poi::Checkin& c : s.warm) engine.Observe(c);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t base = 0; base < queries.size(); base += kBatch) {
-      const size_t n = std::min<size_t>(kBatch, queries.size() - base);
-      std::vector<serve::TopKRequest> batch(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch[i].user = queries[base + i].user;
-        batch[i].k = 10;
-        batch[i].next_timestamp = queries[base + i].timestamp;
-      }
-      for (const serve::TopKResponse& r : engine.TopKBatch(batch)) {
-        if (r.status != serve::RequestStatus::kOk) ++baseline_failed;
-      }
-      for (size_t i = 0; i < n; ++i) engine.Observe(queries[base + i]);
-    }
-    baseline_elapsed = Seconds(std::chrono::steady_clock::now() - t0);
-    baseline_qps =
-        baseline_elapsed > 0 ? double(queries.size()) / baseline_elapsed : 0.0;
-    const serve::EngineStats stats = engine.Stats();
-    baseline_engine_json = stats.ToJson();
-    std::printf("[engine]   %.0f topk/s  p50 %.1f us  p99 %.1f us  "
-                "failed %llu\n",
-                baseline_qps, stats.p50_micros, stats.p99_micros,
-                static_cast<unsigned long long>(baseline_failed));
-  }
-  gate(baseline_failed == 0, "baseline arm had failed requests");
-
-  // --- Arm 2: ShardedEngine at K=1 and K=--shards. ------------------------
+  // --- Arm 1: ShardedEngine at K=1 and K=--shards. ------------------------
   // Scoped so each engine's instruments unregister before the next arm
   // registers the same names.
   const int replay_window = 64;
@@ -449,7 +410,7 @@ int Run(const Options& opt) {
   {
     net::ShardedEngineConfig config;
     config.num_shards = 1;
-    config.deadline_ms = engine_config.deadline_ms;
+    config.deadline_ms = deadline_ms;
     config.queue_capacity = 1 << 14;  // Throughput arm: never shed.
     net::ShardedEngine engine(shared_model, config);
     WarmEngine(engine, streams);
@@ -463,7 +424,7 @@ int Run(const Options& opt) {
   {
     net::ShardedEngineConfig config;
     config.num_shards = opt.shards;
-    config.deadline_ms = engine_config.deadline_ms;
+    config.deadline_ms = deadline_ms;
     config.queue_capacity = 1 << 14;
     net::ShardedEngine engine(shared_model, config);
     WarmEngine(engine, streams);
@@ -500,7 +461,7 @@ int Run(const Options& opt) {
   std::printf("[shard]    speedup %.2fx (gate: %s)\n", shard_speedup,
               shard_gate.c_str());
 
-  // --- Arm 3: networked replay over NdjsonServer + live model flip. -------
+  // --- Arm 2: networked replay over NdjsonServer + live model flip. -------
   double net_qps = 0.0, net_p99_micros = 0.0;
   uint64_t net_failed = 0, flip_dropped = 0;
   int flip_version = -1;
@@ -508,7 +469,7 @@ int Run(const Options& opt) {
   {
     net::ShardedEngineConfig config;
     config.num_shards = opt.shards;
-    config.deadline_ms = engine_config.deadline_ms;
+    config.deadline_ms = deadline_ms;
     config.queue_capacity = 1 << 14;
     net::ShardedEngine engine(shared_model, config);
     WarmEngine(engine, streams);
@@ -587,14 +548,14 @@ int Run(const Options& opt) {
          "networked arm p99 exceeded the deadline");
   }
 
-  // --- Arm 4: 2x overload against a bounded queue. ------------------------
+  // --- Arm 3: 2x overload against a bounded queue. ------------------------
   double overload_target_qps = 0.0, overload_p99_micros = 0.0;
   uint64_t overload_sent = 0;
   ReplayCounts overload;
   {
     net::ShardedEngineConfig config;
     config.num_shards = opt.shards;
-    config.deadline_ms = engine_config.deadline_ms;
+    config.deadline_ms = deadline_ms;
     config.queue_capacity = 64;  // Small queue: shedding is the point.
     net::ShardedEngine engine(shared_model, config);
     WarmEngine(engine, streams);
@@ -658,7 +619,7 @@ int Run(const Options& opt) {
          "overload arm: accepted-request p99 exceeded the deadline");
   }
 
-  // --- Arm 5: request-tracing attribution overhead. -----------------------
+  // --- Arm 4: request-tracing attribution overhead. -----------------------
   TraceArmStats trace_off, trace_on;
   uint64_t trace_requests = 0, trace_mismatches = 0, trace_echo_missing = 0;
   uint64_t trace_captured = 0;
@@ -666,7 +627,7 @@ int Run(const Options& opt) {
   {
     net::ShardedEngineConfig config;
     config.num_shards = opt.shards;
-    config.deadline_ms = engine_config.deadline_ms;
+    config.deadline_ms = deadline_ms;
     config.queue_capacity = 1 << 14;
     net::ShardedEngine engine(shared_model, config);
     WarmEngine(engine, streams);
@@ -766,7 +727,7 @@ int Run(const Options& opt) {
   }
 
   // --- Machine-readable summary (schema_version 3). -----------------------
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("bench", "serving")
       .Field("schema_version", 3)
@@ -776,11 +737,7 @@ int Run(const Options& opt) {
       .Field("shards", int64_t{opt.shards})
       .Field("hardware_threads", int64_t{hardware_threads})
       .Field("num_queries", static_cast<uint64_t>(queries.size()))
-      .Field("batch_size", kBatch)
-      .Field("deadline_ms", engine_config.deadline_ms)
-      .Field("failed", baseline_failed)
-      .Field("throughput_qps", baseline_qps)
-      .Field("elapsed_seconds", baseline_elapsed)
+      .Field("deadline_ms", deadline_ms)
       .Field("single_shard_qps", single_qps)
       .Field("sharded_qps", sharded_qps)
       .Field("shard_speedup", shard_speedup)
@@ -811,7 +768,6 @@ int Run(const Options& opt) {
       .Field("trace_mismatches", trace_mismatches)
       .Field("trace_echo_missing", trace_echo_missing)
       .Field("trace_captured", trace_captured)
-      .RawField("engine", baseline_engine_json)
       .RawField("metrics", obs::MetricRegistry::Global().SnapshotJson())
       .EndObject();
   const std::string out_path = BenchOutputPath("BENCH_serving.json");

@@ -8,8 +8,8 @@
 # cross-thread determinism, parallel eval/training paths, the NDJSON TCP
 # front-end and the sharded serving router), then an
 # ASan/UBSan build of the serialization + serving + kernel-edge-case tests
-# (the subsystems that parse attacker-shaped bytes, juggle shared session
-# state, or run NaN/inf edge tensors through hand-dispatched SIMD loops).
+# (the subsystems that parse attacker-shaped bytes, churn the session LRU,
+# or run NaN/inf edge tensors through hand-dispatched SIMD loops).
 #
 # Usage: scripts/tier1.sh [--no-tsan]   (the flag skips both sanitizer passes)
 set -euo pipefail
@@ -104,11 +104,11 @@ if grep -qw avx2 /proc/cpuinfo; then
 fi
 
 # Serving-path smoke: bench_serving --smoke drives all four serving arms
-# (baseline engine, sharded router at K=1/K=4, networked NDJSON replay with
-# a live model flip, paced 2x overload) with the timing gates skipped; the
-# structural gates — zero dropped requests across the flip, typed
-# `overloaded` sheds only — still apply, and bench_compare.py then checks
-# the schema_version 2 multi-shard fields.
+# (sharded router at K=1/K=4, networked NDJSON replay with a live model
+# flip, paced 2x overload, tracing off/on) with the timing gates skipped;
+# the structural gates — zero dropped requests across the flip, typed
+# `overloaded` sheds only, byte-identical scoring with tracing on — still
+# apply, and bench_compare.py then checks the schema_version 3 fields.
 PA_BENCH_DIR=build build/bench/bench_serving --smoke
 python3 scripts/bench_compare.py --schema build/BENCH_serving.json
 
@@ -139,6 +139,23 @@ models = json.loads(sys.stdin.readline())["models"]
 assert [m["versions"] for m in models] == [[1]], models
 print("pa_serve publish --quantize 1: refused, store unchanged")
 '
+# A shard count or deadline that would crash the server (threads or a ring
+# it cannot allocate, a deadline that overflows the clock) is refused the
+# same way, before the model loads. `timeout` turns a server that starts
+# anyway into a failure instead of a hang.
+for cmd in serve listen; do
+  for bad in "--shards 0" "--shards 257" "--shards 100000000000" \
+             "--deadline-ms -1" "--deadline-ms 86400001" \
+             "--deadline-ms 10000000000000"; do
+    status=0
+    # shellcheck disable=SC2086  # $bad is a flag and its value.
+    timeout 60 build/src/serve/pa_serve "$cmd" --store build/tier1_store \
+      $bad </dev/null >/dev/null 2>&1 || status=$?
+    [[ $status -eq 2 ]] \
+      || { echo "pa_serve $cmd $bad exited $status, want 2" >&2; exit 1; }
+  done
+done
+echo "pa_serve serve/listen: out-of-range --shards and --deadline-ms refused"
 build/src/serve/pa_serve stats --store build/tier1_store | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.readline())
@@ -398,9 +415,10 @@ if [[ "${1:-}" == "--no-tsan" ]]; then
 fi
 
 # TSan pass: the tests that exercise the parallel execution layer and the
-# concurrent serving state (session LRU, request engine) get rebuilt under
-# -fsanitize=thread; a race anywhere in ParallelFor users, the session
-# store, the thread-local inference buffer pools or the per-Backward
+# serving threads (shard workers that each own an engine and its session
+# store, read cross-thread only through their stats) get rebuilt under
+# -fsanitize=thread; a race anywhere in ParallelFor users, the shard
+# router, the thread-local inference buffer pools or the per-Backward
 # transposed operands (tensor_ops_test runs two Backward walks over one
 # shared weight at once) shows up here even on a single-core host.
 cmake -B build-tsan -S . -DPA_SANITIZE=thread >/dev/null
@@ -418,7 +436,7 @@ ctest --test-dir build-tsan --output-on-failure \
 # ASan/UBSan pass over the checkpoint parser, the serving subsystem
 # (including the request-field boundary checks), the top-k selection, and
 # the kernel layer: these tests feed truncated/corrupted byte streams,
-# hammer the session LRU from request paths, and push NaN/inf/denormal edge
+# churn the session LRU from request paths, and push NaN/inf/denormal edge
 # tensors through every kernel table — exactly where memory bugs and UB
 # (bad float->int casts, OOB tails past a vector width) would hide. The op
 # and gradient-check suites hand MatMul's backward the raw pointers of the

@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "serve/json.h"
 #include "util/thread_pool.h"
@@ -38,7 +39,7 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 // The echoed correlation id, if the request carried one. Kept as the raw
 // JsonValue so a string id comes back as a string and a numeric id as a
 // number: an integer when it fits int64, else the double it parsed as.
-void EchoId(serve::JsonWriter& w, const serve::JsonValue& id) {
+void EchoId(obs::JsonWriter& w, const serve::JsonValue& id) {
   int64_t integral = 0;
   switch (id.type) {
     case serve::JsonValue::Type::kString:
@@ -83,14 +84,14 @@ bool TimestampField(const std::map<std::string, serve::JsonValue>& request,
 // is active on the building thread — the shard worker restores the minted
 // context before completion callbacks run, so a client-observed outlier can
 // be looked up directly on /slowz.
-void EchoTrace(serve::JsonWriter& w) {
+void EchoTrace(obs::JsonWriter& w) {
   const obs::TraceContext ctx = obs::CurrentTraceContext();
   if (ctx.active()) w.Field("trace", obs::TraceIdHex(ctx.trace_id));
 }
 
 std::string ErrorLine(const char* code, const std::string& detail,
                       const serve::JsonValue& id) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject().Field("ok", false).Field("code", code).Field("error",
                                                                detail);
   EchoId(w, id);
@@ -106,7 +107,7 @@ std::string StatusErrorLine(serve::RequestStatus status,
 }
 
 std::string OkLine(const serve::JsonValue& id) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject().Field("ok", true).Field("status", "ok");
   EchoId(w, id);
   EchoTrace(w);
@@ -115,7 +116,7 @@ std::string OkLine(const serve::JsonValue& id) {
 }
 
 std::string ShardStatsJson(const ShardStats& stats) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("dispatched", stats.dispatched)
       .Field("shed", stats.shed)
@@ -204,7 +205,7 @@ void NdjsonDispatcher::HandleLineAsync(
           {
             const obs::TraceSpan serialize("net.serialize");
             const auto t0 = std::chrono::steady_clock::now();
-            serve::JsonWriter w;
+            obs::JsonWriter w;
             w.BeginObject()
                 .Field("ok", true)
                 .Field("status", "ok")
@@ -224,7 +225,7 @@ void NdjsonDispatcher::HandleLineAsync(
   }
 
   if (op == "stats") {
-    serve::JsonWriter w;
+    obs::JsonWriter w;
     w.BeginObject()
         .Field("ok", true)
         .Field("status", "ok")
@@ -280,7 +281,7 @@ void NdjsonDispatcher::HandleLineAsync(
           version > 0 ? version : store->ActiveVersion(model);
       engine->SwapModel(
           std::make_shared<const serve::LoadedModel>(std::move(loaded)));
-      serve::JsonWriter w;
+      obs::JsonWriter w;
       w.BeginObject()
           .Field("ok", true)
           .Field("status", "ok")

@@ -54,12 +54,10 @@ void RecordQueueWait(const obs::TraceContext& trace,
 
 }  // namespace
 
-ShardRing::ShardRing(int num_shards, int vnodes_per_shard)
-    : num_shards_(std::max(1, num_shards)) {
-  const int vnodes = std::max(1, vnodes_per_shard);
-  ring_.reserve(static_cast<size_t>(num_shards_) * vnodes);
+ShardRing::ShardRing(int num_shards) : num_shards_(std::max(1, num_shards)) {
+  ring_.reserve(static_cast<size_t>(num_shards_) * kVnodesPerShard);
   for (int s = 0; s < num_shards_; ++s) {
-    for (int v = 0; v < vnodes; ++v) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       ring_.emplace_back(RingPoint(s, v), s);
     }
   }
@@ -77,8 +75,7 @@ int ShardRing::ShardForUser(int32_t user) const {
 
 ShardedEngine::ShardedEngine(std::shared_ptr<const serve::LoadedModel> model,
                              ShardedEngineConfig config)
-    : config_(config),
-      ring_(std::max(1, config.num_shards), config.vnodes_per_shard) {
+    : config_(config), ring_(config.num_shards), model_name_(model->name) {
   const int num_shards = ring_.num_shards();
   // The session memory budget is process-wide: each shard's store gets an
   // equal slice, so K shards hold about as many live sessions in total as
@@ -290,6 +287,8 @@ void ShardedEngine::SwapModel(
   std::mutex done_mu;
   std::condition_variable done_cv;
   size_t remaining = shards_.size();
+  std::unique_lock<std::mutex> swap_lock(swap_mu_);
+  model_name_ = model->name;
   for (auto& shard : shards_) {
     Task task;
     task.kind = Task::Kind::kSwap;
@@ -303,12 +302,14 @@ void ShardedEngine::SwapModel(
     // data plane is busy (it is exactly then that a rollback matters).
     Admit(*shard, std::move(task), /*control_plane=*/true);
   }
+  swap_lock.unlock();
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 std::string ShardedEngine::model_name() const {
-  return shards_.front()->engine->model_name();
+  std::lock_guard<std::mutex> lock(swap_mu_);
+  return model_name_;
 }
 
 ShardStats ShardedEngine::StatsForShard(int shard_index) const {

@@ -21,14 +21,16 @@ namespace pa::net {
 
 /// Consistent-hash ring mapping user ids onto shard indices.
 ///
-/// Each shard owns `vnodes` points on a 64-bit ring (SplitMix64 of the
-/// (shard, vnode) pair — stable across processes and runs); a user hashes
-/// to the first point clockwise from its own hash. Growing K→K+1 shards
-/// therefore moves only ~1/(K+1) of the users, and which shard owns a user
-/// never depends on request order, arrival time, or store state.
+/// Each shard owns kVnodesPerShard points on a 64-bit ring (SplitMix64 of
+/// the (shard, vnode) pair — stable across processes and runs); a user
+/// hashes to the first point clockwise from its own hash. Growing K→K+1
+/// shards therefore moves only ~1/(K+1) of the users, and which shard owns
+/// a user never depends on request order, arrival time, or store state.
 class ShardRing {
  public:
-  ShardRing(int num_shards, int vnodes_per_shard = 64);
+  static constexpr int kVnodesPerShard = 64;
+
+  explicit ShardRing(int num_shards);
 
   int ShardForUser(int32_t user) const;
   int num_shards() const { return num_shards_; }
@@ -41,7 +43,6 @@ class ShardRing {
 
 struct ShardedEngineConfig {
   int num_shards = 1;
-  int vnodes_per_shard = 64;
   /// Bounded per-shard queue: requests arriving when the owning shard
   /// already holds this many are shed with kOverloaded.
   size_t queue_capacity = 256;
@@ -62,16 +63,19 @@ struct ShardStats {
   double ewma_service_us = 0.0;
 };
 
-/// The in-process horizontal layer: N shard workers, each owning a private
-/// serve::Engine (its own SessionStore + LRU + instruments under
-/// "serve.shard<i>."), fed by bounded queues behind a consistent-hash
-/// router.
+/// The in-process horizontal layer, and serving's one concurrency model: N
+/// shard workers, each the single owner of a private serve::Engine (its own
+/// SessionStore + LRU + instruments under "serve.shard<i>."), fed by
+/// bounded queues behind a consistent-hash router.
 ///
 /// Ownership invariant: a user's session state lives on exactly one shard
 /// (ShardRing::ShardForUser), and only that shard's worker thread ever
-/// touches it — the global session mutex of the single-engine design
-/// disappears, and shards scale across cores with zero shared write state
-/// on the request path.
+/// calls into its engine, which therefore holds no lock; shards scale
+/// across cores with zero shared write state on the request path. The
+/// only cross-thread reads of an engine are `Stats()` (here, through
+/// StatsForShard/Stats) and its registered instruments, all relaxed
+/// atomics. The methods here may be called from any thread, except that
+/// the blocking ones must not run on a shard worker.
 ///
 /// Admission control happens on the caller's thread at enqueue: a full
 /// queue, or a predicted wait beyond the deadline, sheds the request with
@@ -84,8 +88,7 @@ struct ShardStats {
 /// enqueued as a control task on every shard (never shed), each worker
 /// warms the model with a throwaway forward and flips its engine between
 /// two requests; traffic keeps flowing on not-yet-flipped shards against
-/// the old version, and in-flight requests pin whichever store they
-/// started with. SwapModel returns once every shard has flipped.
+/// the old version. SwapModel returns once every shard has flipped.
 class ShardedEngine {
  public:
   using TopKCallback = std::function<void(serve::TopKResponse)>;
@@ -118,7 +121,9 @@ class ShardedEngine {
   /// shard runs on `model`. Must not be called from a shard worker.
   void SwapModel(std::shared_ptr<const serve::LoadedModel> model);
 
-  std::string model_name() const;  // Of shard 0 (all equal outside a swap).
+  /// The model the latest SwapModel activated (the constructor's before
+  /// any): every shard runs it once that SwapModel returns.
+  std::string model_name() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int ShardForUser(int32_t user) const { return ring_.ShardForUser(user); }
 
@@ -169,6 +174,10 @@ class ShardedEngine {
   ShardedEngineConfig config_;
   ShardRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Serializes SwapModel's enqueues, so concurrent activations reach every
+  /// shard queue in one order, and guards model_name_.
+  mutable std::mutex swap_mu_;
+  std::string model_name_;
 };
 
 }  // namespace pa::net

@@ -1,6 +1,6 @@
 #include "obs/health.h"
 
-#include "obs/json_util.h"
+#include "obs/json.h"
 
 namespace pa::obs {
 
@@ -60,23 +60,17 @@ std::string HealthRegistry::Json() const {
   for (const auto& [name, c] : components_) {
     if (static_cast<int>(c.status) > static_cast<int>(worst)) worst = c.status;
   }
-  std::string out = "{\"status\":\"";
-  out += HealthStatusName(worst);
-  out += "\",\"components\":{";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Field("status", HealthStatusName(worst));
+  w.BeginObject("components");
   for (const auto& [name, c] : components_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    internal::AppendJsonEscaped(name, &out);
-    out += "\":{\"status\":\"";
-    out += HealthStatusName(c.status);
-    out += "\",\"detail\":\"";
-    internal::AppendJsonEscaped(c.detail, &out);
-    out += "\"}";
+    w.BeginObject(name)
+        .Field("status", HealthStatusName(c.status))
+        .Field("detail", c.detail)
+        .EndObject();
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 void HealthRegistry::Clear() {

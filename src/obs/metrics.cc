@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/json_util.h"
+#include "obs/json.h"
 
 namespace pa::obs {
 
@@ -260,49 +260,24 @@ std::string MetricRegistry::SnapshotJson() const {
 }
 
 std::string SnapshotToJson(const MetricRegistry::Snapshot& snap) {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    internal::AppendJsonEscaped(name, &out);
-    out += "\":";
-    out += std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    internal::AppendJsonEscaped(name, &out);
-    out += "\":";
-    internal::AppendJsonNumber(value, &out);
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  JsonWriter w;
+  w.BeginObject().BeginObject("counters");
+  for (const auto& [name, value] : snap.counters) w.Field(name, value);
+  w.EndObject().BeginObject("gauges");
+  for (const auto& [name, value] : snap.gauges) w.Field(name, value);
+  w.EndObject().BeginObject("histograms");
   for (const auto& [name, h] : snap.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    internal::AppendJsonEscaped(name, &out);
-    out += "\":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"p50\":";
-    internal::AppendJsonNumber(h.p50, &out);
-    out += ",\"p95\":";
-    internal::AppendJsonNumber(h.p95, &out);
-    out += ",\"p99\":";
-    internal::AppendJsonNumber(h.p99, &out);
-    out += ",\"mean\":";
-    internal::AppendJsonNumber(h.mean, &out);
-    out += ",\"p99_exemplar_span\":";
-    out += std::to_string(h.p99_exemplar_span);
-    out += '}';
+    w.BeginObject(name)
+        .Field("count", h.count)
+        .Field("p50", h.p50)
+        .Field("p95", h.p95)
+        .Field("p99", h.p99)
+        .Field("mean", h.mean)
+        .Field("p99_exemplar_span", h.p99_exemplar_span)
+        .EndObject();
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 std::string SnapshotDeltaJson(const MetricRegistry::Snapshot& before,
@@ -346,7 +321,7 @@ void AppendPrometheusNumber(double value, std::string* out) {
   } else if (std::isinf(value)) {
     *out += value > 0 ? "+Inf" : "-Inf";
   } else {
-    internal::AppendJsonNumber(value, out);
+    AppendJsonNumber(value, out);
   }
 }
 

@@ -1,11 +1,10 @@
 #include "obs/slow_trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/json_util.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace pa::obs {
@@ -38,30 +37,6 @@ bool RequestTracingDefault() {
 std::atomic<bool>& RequestTracingFlag() {
   static std::atomic<bool> flag{RequestTracingDefault()};
   return flag;
-}
-
-void AppendMicros(uint64_t ns, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  *out += buf;
-}
-
-void AppendSpanJson(const TraceEvent& e, std::string* out) {
-  *out += "{\"name\":\"";
-  internal::AppendJsonEscaped(e.name != nullptr ? e.name : "?", out);
-  *out += "\",\"ts_us\":";
-  AppendMicros(e.start_ns, out);
-  *out += ",\"dur_us\":";
-  AppendMicros(e.dur_ns, out);
-  *out += ",\"tid\":";
-  *out += std::to_string(e.tid);
-  *out += ",\"id\":";
-  *out += std::to_string(e.id);
-  *out += ",\"parent\":";
-  *out += std::to_string(e.parent_id);
-  *out += '}';
 }
 
 }  // namespace
@@ -236,36 +211,33 @@ std::shared_ptr<const CompletedTrace> SlowTraceReservoir::Find(
 
 std::string SlowTraceReservoir::Json() const {
   const auto traces = WorstTraces();
-  std::string out = "{\"k\":";
-  out += std::to_string(kWorst);
-  out += ",\"floor_us\":";
-  AppendMicros(floor_ns(), &out);
-  out += ",\"traces\":[";
-  bool first_trace = true;
+  JsonWriter w;
+  w.BeginObject()
+      .Field("k", kWorst)
+      .FieldMicros("floor_us", floor_ns())
+      .BeginArray("traces");
   for (const auto& trace : traces) {
-    if (!first_trace) out += ',';
-    first_trace = false;
-    out += "{\"trace\":\"";
-    out += TraceIdHex(trace->trace_id);
-    out += "\",\"root\":";
-    out += std::to_string(trace->root_span);
-    out += ",\"start_us\":";
-    AppendMicros(trace->start_ns, &out);
-    out += ",\"total_us\":";
-    AppendMicros(trace->total_ns, &out);
-    out += ",\"spans_dropped\":";
-    out += std::to_string(trace->spans_dropped);
-    out += ",\"spans\":[";
-    bool first_span = true;
+    w.BeginObject()
+        .Field("trace", TraceIdHex(trace->trace_id))
+        .Field("root", trace->root_span)
+        .FieldMicros("start_us", trace->start_ns)
+        .FieldMicros("total_us", trace->total_ns)
+        .Field("spans_dropped", trace->spans_dropped)
+        .BeginArray("spans");
     for (const TraceEvent& e : trace->spans) {
-      if (!first_span) out += ',';
-      first_span = false;
-      AppendSpanJson(e, &out);
+      w.BeginObject()
+          .Field("name", e.name != nullptr ? e.name : "?")
+          .FieldMicros("ts_us", e.start_ns)
+          .FieldMicros("dur_us", e.dur_ns)
+          .Field("tid", uint64_t{e.tid})
+          .Field("id", e.id)
+          .Field("parent", e.parent_id)
+          .EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 void SlowTraceReservoir::Clear() {

@@ -7,7 +7,7 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/json_util.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slow_trace.h"
 
@@ -218,20 +218,6 @@ uint64_t TraceEventsDropped() {
   return dropped;
 }
 
-namespace {
-
-void AppendMicros(uint64_t ns, std::string* out) {
-  // Microseconds with nanosecond precision, without going through double
-  // (keeps long traces exact).
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  *out += buf;
-}
-
-}  // namespace
-
 std::string TraceIdHex(uint64_t trace_id) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llx",
@@ -240,55 +226,46 @@ std::string TraceIdHex(uint64_t trace_id) {
 }
 
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().BeginArray("traceEvents");
   for (const TraceEvent& e : events) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    internal::AppendJsonEscaped(e.name != nullptr ? e.name : "?", &out);
-    out += "\",\"cat\":\"pa\",\"ph\":\"X\",\"ts\":";
-    AppendMicros(e.start_ns, &out);
-    out += ",\"dur\":";
-    AppendMicros(e.dur_ns, &out);
-    out += ",\"pid\":1,\"tid\":";
-    out += std::to_string(e.tid);
-    // Top-level (non-standard) fields; chrome://tracing ignores unknown
-    // keys. trace/parent appear only on spans linked into a request trace.
-    out += ",\"id\":";
-    out += std::to_string(e.id);
+    w.BeginObject()
+        .Field("name", e.name != nullptr ? e.name : "?")
+        .Field("cat", "pa")
+        .Field("ph", "X")
+        .FieldMicros("ts", e.start_ns)
+        .FieldMicros("dur", e.dur_ns)
+        .Field("pid", 1)
+        .Field("tid", uint64_t{e.tid})
+        // Top-level (non-standard) fields; chrome://tracing ignores unknown
+        // keys. trace/parent appear only on spans linked into a request
+        // trace.
+        .Field("id", e.id);
     if (e.trace_id != 0) {
-      out += ",\"trace\":\"";
-      out += TraceIdHex(e.trace_id);
-      out += "\",\"parent\":";
-      out += std::to_string(e.parent_id);
+      w.Field("trace", TraceIdHex(e.trace_id)).Field("parent", e.parent_id);
     }
-    out += '}';
+    w.EndObject();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  w.EndArray().Field("displayTimeUnit", "ms").EndObject();
+  return w.str();
 }
 
 std::string TraceNdjson(const std::vector<TraceEvent>& events) {
   std::string out;
   for (const TraceEvent& e : events) {
-    out += "{\"name\":\"";
-    internal::AppendJsonEscaped(e.name != nullptr ? e.name : "?", &out);
-    out += "\",\"ts_us\":";
-    AppendMicros(e.start_ns, &out);
-    out += ",\"dur_us\":";
-    AppendMicros(e.dur_ns, &out);
-    out += ",\"tid\":";
-    out += std::to_string(e.tid);
-    out += ",\"id\":";
-    out += std::to_string(e.id);
+    JsonWriter w;
+    w.BeginObject()
+        .Field("name", e.name != nullptr ? e.name : "?")
+        .FieldMicros("ts_us", e.start_ns)
+        .FieldMicros("dur_us", e.dur_ns)
+        .Field("tid", uint64_t{e.tid})
+        .Field("id", e.id);
     if (e.trace_id != 0) {
-      out += ",\"trace\":\"";
-      out += TraceIdHex(e.trace_id);
-      out += "\",\"parent\":";
-      out += std::to_string(e.parent_id);
+      w.Field("trace", TraceIdHex(e.trace_id)).Field("parent", e.parent_id);
     }
-    out += "}\n";
+    w.EndObject();
+    out += w.str();
+    out += '\n';
   }
   return out;
 }

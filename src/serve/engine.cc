@@ -1,10 +1,8 @@
 #include "serve/engine.h"
 
+#include "obs/json.h"
 #include "obs/trace.h"
-#include "serve/json.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/tensor.h"
-#include "util/thread_pool.h"
 
 namespace pa::serve {
 
@@ -25,7 +23,7 @@ const char* RequestStatusCode(RequestStatus status) {
 }
 
 std::string EngineStats::ToJson() const {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("requests", requests)
       .Field("timeouts", timeouts)
@@ -43,35 +41,27 @@ std::string EngineStats::ToJson() const {
 Engine::Engine(std::shared_ptr<const LoadedModel> model, EngineConfig config)
     : model_(std::move(model)),
       config_(config),
-      sessions_(std::make_shared<SessionStore>(model_, config_.sessions)) {
-  // Expose this engine's instruments process-wide. The session gauges read
-  // through the current store (callbacks run at snapshot time, so they
-  // follow model swaps automatically).
+      sessions_(model_, config_.sessions) {
+  // Expose this engine's instruments process-wide. The session gauges are
+  // callbacks, sampled at snapshot time from the store's atomics.
   auto& registry = obs::MetricRegistry::Global();
   const std::string& prefix = config_.metric_prefix;
   registry.RegisterCounter(prefix + "requests", &requests_);
   registry.RegisterCounter(prefix + "timeouts", &timeouts_);
   registry.RegisterHistogram(prefix + "latency_us", &latency_);
   auto session_stat = [this](uint64_t SessionStoreStats::*field) {
-    std::shared_ptr<SessionStore> sessions;
-    {
-      std::lock_guard<std::mutex> lock(swap_mu_);
-      sessions = sessions_;
-    }
-    return static_cast<double>(sessions->Stats().*field);
+    return [this, field] {
+      return static_cast<double>(sessions_.Stats().*field);
+    };
   };
-  registry.RegisterCallbackGauge(
-      prefix + "sessions.live", this,
-      [session_stat] { return session_stat(&SessionStoreStats::live_sessions); });
-  registry.RegisterCallbackGauge(
-      prefix + "sessions.hits", this,
-      [session_stat] { return session_stat(&SessionStoreStats::hits); });
-  registry.RegisterCallbackGauge(
-      prefix + "sessions.misses", this,
-      [session_stat] { return session_stat(&SessionStoreStats::misses); });
-  registry.RegisterCallbackGauge(
-      prefix + "sessions.evictions", this,
-      [session_stat] { return session_stat(&SessionStoreStats::evictions); });
+  registry.RegisterCallbackGauge(prefix + "sessions.live", this,
+                                 session_stat(&SessionStoreStats::live_sessions));
+  registry.RegisterCallbackGauge(prefix + "sessions.hits", this,
+                                 session_stat(&SessionStoreStats::hits));
+  registry.RegisterCallbackGauge(prefix + "sessions.misses", this,
+                                 session_stat(&SessionStoreStats::misses));
+  registry.RegisterCallbackGauge(prefix + "sessions.evictions", this,
+                                 session_stat(&SessionStoreStats::evictions));
 }
 
 Engine::~Engine() {
@@ -86,43 +76,24 @@ Engine::~Engine() {
   registry.Unregister(prefix + "sessions.evictions", this);
 }
 
-std::string Engine::model_name() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return model_->name;
-}
-
 RequestStatus Engine::Observe(const poi::Checkin& checkin) {
   PA_TRACE_SPAN("serve.observe");
-  // Serving never backpropagates: model forwards under this request run on
-  // the tensor engine's graph-free fast path.
-  const tensor::InferenceModeScope inference;
-  std::shared_ptr<const LoadedModel> model;
-  std::shared_ptr<SessionStore> sessions;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    model = model_;
-    sessions = sessions_;
-  }
   // Every model indexes its tables by POI id; an id the table does not
   // hold must never reach the history a session is rebuilt from.
-  if (checkin.poi < 0 || checkin.poi >= model->pois->size()) {
+  if (checkin.poi < 0 || checkin.poi >= model_->pois->size()) {
     return RequestStatus::kInvalidArgument;
   }
-  sessions->Observe(checkin);
+  sessions_.Observe(checkin);
   return RequestStatus::kOk;
 }
 
-TopKResponse Engine::Run(const TopKRequest& request,
-                         Clock::time_point enqueue) {
+TopKResponse Engine::TopKAt(const TopKRequest& request,
+                            Clock::time_point enqueue) {
   // Named span (not PA_TRACE_SPAN): its id feeds the latency histogram as
   // an exemplar, so a p99 in `pa_serve stats` or /metrics links back to
   // this request's span in the PA_OBS_TRACE dump. id() is 0 when tracing
   // is off, which degrades to a plain Record.
   const obs::TraceSpan span("serve.request");
-  // Run executes on whatever thread carries the request (caller, pool
-  // worker via TopKBatch/TopKAsync); the scope is per-thread, so it is
-  // entered here rather than at the batch fan-out.
-  const tensor::InferenceModeScope inference;
   const auto deadline =
       enqueue + std::chrono::milliseconds(config_.deadline_ms);
   TopKResponse response;
@@ -147,19 +118,13 @@ TopKResponse Engine::Run(const TopKRequest& request,
     finish(Clock::now());
     return response;
   }
-
-  std::shared_ptr<SessionStore> sessions;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    sessions = sessions_;
-  }
-  if (request.strict && !sessions->HasHistory(request.user)) {
+  if (request.strict && !sessions_.HasHistory(request.user)) {
     response.status = RequestStatus::kUnknownUser;
     finish(Clock::now());
     return response;
   }
   std::vector<int32_t> pois =
-      sessions->TopK(request.user, request.k, request.next_timestamp);
+      sessions_.TopK(request.user, request.k, request.next_timestamp);
 
   const auto now = Clock::now();
   if (now > deadline) {
@@ -181,55 +146,19 @@ TopKResponse Engine::Run(const TopKRequest& request,
 }
 
 TopKResponse Engine::TopK(const TopKRequest& request) {
-  return Run(request, Clock::now());
-}
-
-TopKResponse Engine::TopKAt(const TopKRequest& request,
-                            Clock::time_point enqueue) {
-  return Run(request, enqueue);
-}
-
-std::vector<TopKResponse> Engine::TopKBatch(
-    const std::vector<TopKRequest>& requests) {
-  const auto enqueue = Clock::now();
-  std::vector<TopKResponse> responses(requests.size());
-  util::GlobalPool().ParallelFor(
-      0, static_cast<int64_t>(requests.size()), 1, [&](int64_t i) {
-        responses[static_cast<size_t>(i)] =
-            Run(requests[static_cast<size_t>(i)], enqueue);
-      });
-  return responses;
-}
-
-std::future<TopKResponse> Engine::TopKAsync(const TopKRequest& request) {
-  const auto enqueue = Clock::now();
-  auto task = std::make_shared<std::packaged_task<TopKResponse()>>(
-      [this, request, enqueue] { return Run(request, enqueue); });
-  std::future<TopKResponse> future = task->get_future();
-  util::GlobalPool().Submit([task] { (*task)(); });
-  return future;
+  return TopKAt(request, Clock::now());
 }
 
 void Engine::SwapModel(std::shared_ptr<const LoadedModel> model) {
-  auto sessions =
-      std::make_shared<SessionStore>(model, config_.sessions);
-  std::lock_guard<std::mutex> lock(swap_mu_);
   model_ = std::move(model);
-  sessions_ = std::move(sessions);
-  // The old SessionStore dies when its last in-flight request releases it;
-  // each live entry pins the old LoadedModel until then.
+  sessions_.Clear(model_);
 }
 
 EngineStats Engine::Stats() const {
   EngineStats stats;
   stats.requests = requests_.value();
   stats.timeouts = timeouts_.value();
-  std::shared_ptr<SessionStore> sessions;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    sessions = sessions_;
-  }
-  const SessionStoreStats s = sessions->Stats();
+  const SessionStoreStats s = sessions_.Stats();
   stats.session_hits = s.hits;
   stats.session_misses = s.misses;
   stats.session_evictions = s.evictions;

@@ -1,10 +1,8 @@
 #ifndef PA_SERVE_ENGINE_H_
 #define PA_SERVE_ENGINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,8 +51,8 @@ struct TopKResponse {
 
 struct EngineConfig {
   /// Budget per request, measured from enqueue. A request that is still
-  /// queued past its deadline is skipped (fails fast without occupying a
-  /// worker); one that finishes late is reported as timed out. 0 fails
+  /// queued past its deadline is skipped (fails fast without touching the
+  /// session); one that finishes late is reported as timed out. 0 fails
   /// everything — useful for drain tests.
   int64_t deadline_ms = 250;
   SessionStoreConfig sessions;
@@ -81,12 +79,17 @@ struct EngineStats {
 
 /// The serving engine: request-level API over one active model.
 ///
-/// Synchronous `Observe`/`TopK` run on the calling thread. `TopKBatch` fans
-/// a batch across the global `util::ThreadPool` (grain 1 — requests are
-/// coarse units); `TopKAsync` enqueues one request and returns a future.
-/// Deadlines never block the pool: expiry is *checked*, at dequeue and at
-/// completion, not enforced by interruption — a slow model call runs to
-/// completion and is then reported as timed out.
+/// Single owner, no locks: `Observe`, `TopK`, `TopKAt` and `SwapModel` run
+/// on one thread at a time — a `net::ShardedEngine` shard worker, or a
+/// caller that owns the engine outright. `Stats()` and the registered
+/// instruments (`serve.requests`, `serve.latency_us`, the
+/// `serve.sessions.*` gauges, ...) may be read from any thread: they are
+/// relaxed atomics. Concurrency, admission and cross-thread model
+/// activation live in `net::ShardedEngine`.
+///
+/// Deadlines are *checked*, at dequeue and at completion, never enforced
+/// by interruption: a slow model call runs to completion and is then
+/// reported as timed out.
 class Engine {
  public:
   Engine(std::shared_ptr<const LoadedModel> model, EngineConfig config = {});
@@ -95,9 +98,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Name of the currently active model (by value: hot-swap may replace the
-  /// model concurrently).
-  std::string model_name() const;
+  /// Name of the active model (owner thread only: a swap replaces it).
+  const std::string& model_name() const { return model_->name; }
 
   /// Feeds a check-in into the user's session (and serving history).
   /// A POI outside the model's table is kInvalidArgument, rejected before
@@ -115,31 +117,20 @@ class Engine {
   TopKResponse TopKAt(const TopKRequest& request,
                       std::chrono::steady_clock::time_point enqueue);
 
-  /// Answers a batch; response i corresponds to request i. All requests
-  /// share one enqueue instant, so the whole batch races one deadline —
-  /// matching how a frontend flushes a batch of user queries at once.
-  std::vector<TopKResponse> TopKBatch(const std::vector<TopKRequest>& requests);
-
-  /// Enqueues one request on the pool.
-  std::future<TopKResponse> TopKAsync(const TopKRequest& request);
-
-  /// Hot-swaps the active model. Sessions and histories are cleared: state
-  /// built against the old parameters is meaningless against the new ones.
-  /// In-flight requests finish against the model they started with (entries
-  /// pin it via shared_ptr).
+  /// Switches to `model`. Sessions, histories and session counters are
+  /// reset in place: state built against the old parameters is meaningless
+  /// against the new ones.
   void SwapModel(std::shared_ptr<const LoadedModel> model);
 
+  /// Safe from any thread (see the class comment).
   EngineStats Stats() const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  TopKResponse Run(const TopKRequest& request, Clock::time_point enqueue);
-
   std::shared_ptr<const LoadedModel> model_;
   EngineConfig config_;
-  std::shared_ptr<SessionStore> sessions_;
-  mutable std::mutex swap_mu_;  // Guards model_ / sessions_ swap.
+  SessionStore sessions_;
 
   // Per-engine instruments (tests rely on a fresh engine starting at zero),
   // registered with the process-wide obs::MetricRegistry under the

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace pa::serve {
 
@@ -166,167 +165,6 @@ bool ParseFlatObject(const std::string& text,
   c.SkipWs();
   if (!c.done()) return Fail(error, "trailing characters after object");
   return true;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-std::string FormatNumber(double value) {
-  // Integral values print without a fractional part ("3", not "3.000000");
-  // everything else gets enough digits to round-trip.
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-  }
-  if (!std::isfinite(value)) return "null";  // JSON has no inf/nan.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
-
-JsonWriter& JsonWriter::BeginObject() {
-  Comma();
-  out_ += '{';
-  need_comma_ = false;
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndObject() {
-  out_ += '}';
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::BeginArray(const std::string& key) {
-  Comma();
-  if (!key.empty()) {
-    out_ += '"';
-    out_ += EscapeJson(key);
-    out_ += "\":";
-  }
-  out_ += '[';
-  need_comma_ = false;
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndArray() {
-  out_ += ']';
-  need_comma_ = true;
-  return *this;
-}
-
-void JsonWriter::Comma() {
-  if (need_comma_) out_ += ',';
-}
-
-void JsonWriter::Key(const std::string& key) {
-  Comma();
-  out_ += '"';
-  out_ += EscapeJson(key);
-  out_ += "\":";
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key,
-                              const std::string& value) {
-  Key(key);
-  out_ += '"';
-  out_ += EscapeJson(value);
-  out_ += '"';
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, const char* value) {
-  return Field(key, std::string(value));
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, double value) {
-  Key(key);
-  out_ += FormatNumber(value);
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, int64_t value) {
-  Key(key);
-  out_ += std::to_string(value);
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, int value) {
-  return Field(key, static_cast<int64_t>(value));
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, uint64_t value) {
-  Key(key);
-  out_ += std::to_string(value);
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, bool value) {
-  Key(key);
-  out_ += value ? "true" : "false";
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::RawField(const std::string& key,
-                                 const std::string& json) {
-  Key(key);
-  out_ += json;
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Element(int64_t value) {
-  Comma();
-  out_ += std::to_string(value);
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Element(double value) {
-  Comma();
-  out_ += FormatNumber(value);
-  need_comma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::RawElement(const std::string& json) {
-  Comma();
-  out_ += json;
-  need_comma_ = true;
-  return *this;
 }
 
 }  // namespace pa::serve

@@ -10,14 +10,14 @@
 
 namespace pa::serve {
 
-/// Minimal JSON support for the serving frontends.
+/// The request parser of the serving frontends.
 ///
 /// The `pa_serve` wire protocol is newline-delimited *flat* JSON objects —
 /// scalar values only, no nesting — which keeps the hand-rolled parser
 /// small enough to audit while staying interoperable with `jq`, Python,
-/// shell pipelines, etc. Responses are emitted through `JsonWriter`, which
-/// can produce nested objects and arrays (one-way generation is easy; only
-/// parsing is restricted).
+/// shell pipelines, etc. Responses are emitted through `obs::JsonWriter`
+/// (obs/json.h), which can produce nested objects and arrays (one-way
+/// generation is easy; only parsing is restricted).
 
 /// One scalar value of a flat JSON object.
 struct JsonValue {
@@ -53,44 +53,6 @@ struct JsonValue {
 bool ParseFlatObject(const std::string& text,
                      std::map<std::string, JsonValue>* out,
                      std::string* error = nullptr);
-
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
-std::string EscapeJson(const std::string& s);
-
-/// Tiny append-style JSON builder:
-///
-///   JsonWriter w;
-///   w.BeginObject().Field("ok", true).Field("n", 3).EndObject();
-///   w.str()  // {"ok":true,"n":3}
-class JsonWriter {
- public:
-  JsonWriter& BeginObject();
-  JsonWriter& EndObject();
-  JsonWriter& BeginArray(const std::string& key = "");
-  JsonWriter& EndArray();
-  JsonWriter& Field(const std::string& key, const std::string& value);
-  JsonWriter& Field(const std::string& key, const char* value);
-  JsonWriter& Field(const std::string& key, double value);
-  JsonWriter& Field(const std::string& key, int64_t value);
-  JsonWriter& Field(const std::string& key, int value);
-  JsonWriter& Field(const std::string& key, uint64_t value);
-  JsonWriter& Field(const std::string& key, bool value);
-  /// Raw (pre-serialized) value, e.g. a nested object built separately.
-  JsonWriter& RawField(const std::string& key, const std::string& json);
-  JsonWriter& Element(int64_t value);
-  JsonWriter& Element(double value);
-  /// Raw (pre-serialized) array element, e.g. a nested object per entry.
-  JsonWriter& RawElement(const std::string& json);
-
-  const std::string& str() const { return out_; }
-
- private:
-  void Comma();
-  void Key(const std::string& key);
-
-  std::string out_;
-  bool need_comma_ = false;
-};
 
 }  // namespace pa::serve
 

@@ -69,15 +69,18 @@
 //
 //   pa_serve stats --store DIR [--model LSTM] [--version N] [--probe N]
 //     Loads the model, drives a small probe workload (N users each observe
-//     a couple of check-ins, then one top-k batch) through a fresh engine,
-//     and prints one NDJSON line with the full metric-registry snapshot —
+//     a couple of check-ins, then ask for one top-k) through a fresh
+//     one-shard engine, and prints one NDJSON line with the full
+//     metric-registry snapshot —
 //     a self-contained health check covering serving, session-store,
 //     thread-pool and tensor-pool metrics. "probe_delta" carries only what
 //     the probe itself contributed (snapshot-before/after delta), so the
 //     probe is separable from whatever the process counted before it.
 //
 // Each subcommand accepts exactly the flags listed for it above; any other
-// flag exits 2 before any work ("pa_serve: unknown flag --x for publish").
+// flag exits 2 before any work ("pa_serve: unknown flag --x for publish"),
+// and so does a `serve` or `listen` value out of range: --shards outside
+// [1, 256] or --deadline-ms outside [0, 86400000].
 //
 // All long-lived subcommands honor PA_OBS_TIMESERIES=<path> (+ optional
 // PA_OBS_SAMPLE_PERIOD_MS): a background sampler appends one NDJSON
@@ -93,6 +96,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -105,6 +109,7 @@
 #include "net/socket_util.h"
 #include "obs/health.h"
 #include "obs/http_exposition.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slow_trace.h"
 #include "obs/telemetry_sampler.h"
@@ -113,9 +118,9 @@
 #include "poi/synthetic.h"
 #include "rec/registry.h"
 #include "serve/engine.h"
-#include "serve/json.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -149,6 +154,18 @@ struct Flags {
     } catch (const std::exception&) {
       BadFlagValue(key, it->second);
     }
+  }
+  /// GetInt that refuses a value outside [lo, hi] the way a malformed one
+  /// is refused: exit 2, before any work.
+  long GetIntInRange(const std::string& key, long def, long lo,
+                     long hi) const {
+    const long value = GetInt(key, def);
+    if (value < lo || value > hi) {
+      std::fprintf(stderr, "pa_serve: --%s must be in [%ld, %ld], got %ld\n",
+                   key.c_str(), lo, hi, value);
+      std::exit(2);
+    }
+    return value;
   }
   double GetDouble(const std::string& key, double def) const {
     auto it = values.find(key);
@@ -236,7 +253,7 @@ int CmdPublish(const Flags& flags) {
     return 1;
   }
 
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("model", model->name())
       .Field("version", version)
@@ -248,7 +265,7 @@ int CmdPublish(const Flags& flags) {
 
 int CmdList(const Flags& flags) {
   serve::ModelStore store(flags.Get("store", "model_store"));
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject().BeginArray("models");
   for (const std::string& name : store.ListModels()) {
     w.BeginObject().Field("name", name).Field("active",
@@ -297,11 +314,18 @@ std::shared_ptr<const serve::LoadedModel> LoadServingModel(
   return std::make_shared<const serve::LoadedModel>(std::move(loaded));
 }
 
+// Each shard is a thread, and 256 is far past any core count this serves
+// on; a day bounds the deadline, so enqueue + deadline cannot overflow the
+// clock's nanosecond count.
+constexpr long kMaxShards = 256;
+constexpr long kMaxDeadlineMs = 86'400'000;
+
 net::ShardedEngineConfig ShardConfigFromFlags(const Flags& flags) {
   net::ShardedEngineConfig config;
   config.num_shards =
-      static_cast<int>(std::max(1L, flags.GetInt("shards", 1)));
-  config.deadline_ms = flags.GetInt("deadline-ms", 250);
+      static_cast<int>(flags.GetIntInRange("shards", 1, 1, kMaxShards));
+  config.deadline_ms =
+      flags.GetIntInRange("deadline-ms", 250, 0, kMaxDeadlineMs);
   config.queue_capacity =
       static_cast<size_t>(std::max(1L, flags.GetInt("queue-capacity", 256)));
   return config;
@@ -325,21 +349,24 @@ bool MaybeStartExposition(const Flags& flags,
   return true;
 }
 
-int CmdServe(const Flags& flags) {
+/// What a transport gets from the shared setup: the engine, the dispatcher
+/// options (model store, default model, metrics port) and the model's POI
+/// count. It returns the exit code.
+using Transport = std::function<int(net::ShardedEngine& engine,
+                                    net::NdjsonDispatcher::Options options,
+                                    int num_pois)>;
+
+/// The setup `serve` and `listen` share; they differ only in transport.
+/// Loads the model, starts the sharded engine and the metrics exposition,
+/// and holds the serve.model health entry while the transport runs.
+int RunServing(const Flags& flags, const Transport& transport) {
+  const net::ShardedEngineConfig config = ShardConfigFromFlags(flags);
   serve::ModelStore store(flags.Get("store", "model_store"));
   std::shared_ptr<const serve::LoadedModel> loaded =
       LoadServingModel(store, flags);
   if (!loaded) return 1;
 
-  const int num_pois = loaded->pois->size();
-  net::ShardedEngine engine(loaded, ShardConfigFromFlags(flags));
-  std::fprintf(stderr,
-               "pa_serve: serving %s (%d POIs, %d shard%s); reading NDJSON\n",
-               engine.model_name().c_str(), num_pois, engine.num_shards(),
-               engine.num_shards() == 1 ? "" : "s");
-  obs::HealthRegistry::Global().Set("serve.model", obs::HealthStatus::kOk,
-                                    engine.model_name());
-
+  net::ShardedEngine engine(loaded, config);
   obs::ExpositionServer exposition;
   if (!MaybeStartExposition(flags, &exposition)) return 1;
 
@@ -347,26 +374,43 @@ int CmdServe(const Flags& flags) {
   options.store = &store;
   options.default_model = flags.Get("model", "LSTM");
   options.metrics_port = exposition.port();
-  net::NdjsonDispatcher dispatcher(&engine, options);
+  obs::HealthRegistry::Global().Set("serve.model", obs::HealthStatus::kOk,
+                                    engine.model_name());
+  const int code = transport(engine, std::move(options), loaded->pois->size());
+  obs::HealthRegistry::Global().Remove("serve.model");
+  return code;
+}
 
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    bool quit = false;
-    // One trace per stdin line, mirroring the TCP front-end: minted here,
-    // installed around the blocking dispatch, ended once the response is
-    // in hand (write-wait is meaningless on a blocking stdout).
-    const obs::TraceContext trace = obs::SlowTraceReservoir::Global().Begin();
-    std::string response;
-    {
-      const obs::TraceContextScope scope(trace);
-      response = dispatcher.HandleLine(line, &quit);
+int CmdServe(const Flags& flags) {
+  return RunServing(flags, [](net::ShardedEngine& engine,
+                              net::NdjsonDispatcher::Options options,
+                              int num_pois) {
+    std::fprintf(stderr,
+                 "pa_serve: serving %s (%d POIs, %d shard%s); reading "
+                 "NDJSON\n",
+                 engine.model_name().c_str(), num_pois, engine.num_shards(),
+                 engine.num_shards() == 1 ? "" : "s");
+    net::NdjsonDispatcher dispatcher(&engine, std::move(options));
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      if (line.empty()) continue;
+      bool quit = false;
+      // One trace per stdin line, mirroring the TCP front-end: minted here,
+      // installed around the blocking dispatch, ended once the response is
+      // in hand (write-wait is meaningless on a blocking stdout).
+      const obs::TraceContext trace =
+          obs::SlowTraceReservoir::Global().Begin();
+      std::string response;
+      {
+        const obs::TraceContextScope scope(trace);
+        response = dispatcher.HandleLine(line, &quit);
+      }
+      obs::SlowTraceReservoir::Global().End(trace);
+      Reply(response);
+      if (quit) break;
     }
-    obs::SlowTraceReservoir::Global().End(trace);
-    Reply(response);
-    if (quit) break;
-  }
-  return 0;
+    return 0;
+  });
 }
 
 // SIGINT/SIGTERM → graceful drain of the active listener. A plain pointer
@@ -379,70 +423,57 @@ void HandleListenSignal(int) {
 }
 
 int CmdListen(const Flags& flags) {
-  serve::ModelStore store(flags.Get("store", "model_store"));
-  std::shared_ptr<const serve::LoadedModel> loaded =
-      LoadServingModel(store, flags);
-  if (!loaded) return 1;
+  return RunServing(flags, [&flags](net::ShardedEngine& engine,
+                                    net::NdjsonDispatcher::Options options,
+                                    int num_pois) {
+    net::NdjsonServer server;
+    options.on_quit = [&server] { server.RequestShutdown(); };
+    net::NdjsonDispatcher dispatcher(&engine, std::move(options));
 
-  const int num_pois = loaded->pois->size();
-  net::ShardedEngine engine(loaded, ShardConfigFromFlags(flags));
-  obs::HealthRegistry::Global().Set("serve.model", obs::HealthStatus::kOk,
-                                    engine.model_name());
+    net::NdjsonServerConfig server_config;
+    const long port = flags.GetInt("port", 0);
+    if (port < 0 || port > 65535) {
+      std::fprintf(stderr, "pa_serve: bad --port %ld\n", port);
+      return 1;
+    }
+    server_config.port = static_cast<uint16_t>(port);
+    server_config.idle_timeout_ms =
+        static_cast<int>(flags.GetInt("idle-timeout-ms", 60'000));
 
-  obs::ExpositionServer exposition;
-  if (!MaybeStartExposition(flags, &exposition)) return 1;
+    std::string error;
+    if (!server.Start(server_config,
+                      [&dispatcher, &server](uint64_t conn, uint64_t seq,
+                                             std::string line) {
+                        dispatcher.HandleLineAsync(
+                            std::move(line),
+                            [conn, seq, &server](std::string response) {
+                              server.Reply(conn, seq, std::move(response));
+                            });
+                      },
+                      &error)) {
+      std::fprintf(stderr, "pa_serve: cannot listen: %s\n", error.c_str());
+      return 1;
+    }
 
-  net::NdjsonServer server;
-  net::NdjsonDispatcher::Options options;
-  options.store = &store;
-  options.default_model = flags.Get("model", "LSTM");
-  options.metrics_port = exposition.port();
-  options.on_quit = [&server] { server.RequestShutdown(); };
-  net::NdjsonDispatcher dispatcher(&engine, options);
+    g_listen_server = &server;
+    std::signal(SIGINT, HandleListenSignal);
+    std::signal(SIGTERM, HandleListenSignal);
 
-  net::NdjsonServerConfig server_config;
-  const long port = flags.GetInt("port", 0);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "pa_serve: bad --port %ld\n", port);
-    return 1;
-  }
-  server_config.port = static_cast<uint16_t>(port);
-  server_config.idle_timeout_ms =
-      static_cast<int>(flags.GetInt("idle-timeout-ms", 60'000));
+    // Machine-parseable (tier1 listen smoke and perfbench read this line
+    // to find the ephemeral port).
+    std::fprintf(stderr,
+                 "pa_serve: listening on 127.0.0.1:%u (%s, %d POIs, %d "
+                 "shard%s)\n",
+                 static_cast<unsigned>(server.port()),
+                 engine.model_name().c_str(), num_pois, engine.num_shards(),
+                 engine.num_shards() == 1 ? "" : "s");
+    std::fflush(stderr);
 
-  std::string error;
-  if (!server.Start(server_config,
-                    [&dispatcher, &server](uint64_t conn, uint64_t seq,
-                                           std::string line) {
-                      dispatcher.HandleLineAsync(
-                          std::move(line),
-                          [conn, seq, &server](std::string response) {
-                            server.Reply(conn, seq, std::move(response));
-                          });
-                    },
-                    &error)) {
-    std::fprintf(stderr, "pa_serve: cannot listen: %s\n", error.c_str());
-    return 1;
-  }
-
-  g_listen_server = &server;
-  std::signal(SIGINT, HandleListenSignal);
-  std::signal(SIGTERM, HandleListenSignal);
-
-  // Machine-parseable (tier1 listen smoke and bench_serving read this line
-  // to find the ephemeral port).
-  std::fprintf(stderr, "pa_serve: listening on 127.0.0.1:%u (%s, %d POIs, %d "
-               "shard%s)\n",
-               static_cast<unsigned>(server.port()),
-               engine.model_name().c_str(), num_pois, engine.num_shards(),
-               engine.num_shards() == 1 ? "" : "s");
-  std::fflush(stderr);
-
-  server.Wait();
-  g_listen_server = nullptr;
-  obs::HealthRegistry::Global().Remove("serve.model");
-  std::fprintf(stderr, "pa_serve: drained, shutting down\n");
-  return 0;
+    server.Wait();
+    g_listen_server = nullptr;
+    std::fprintf(stderr, "pa_serve: drained, shutting down\n");
+    return 0;
+  });
 }
 
 int CmdSlowz(const Flags& flags) {
@@ -501,35 +532,29 @@ int CmdSlowz(const Flags& flags) {
 
 int CmdStats(const Flags& flags) {
   serve::ModelStore store(flags.Get("store", "model_store"));
-  const std::string name = flags.Get("model", "LSTM");
-  const int version = static_cast<int>(flags.GetInt("version", -1));
+  std::shared_ptr<const serve::LoadedModel> loaded =
+      LoadServingModel(store, flags);
+  if (!loaded) return 1;
 
-  serve::LoadedModel loaded;
-  std::string error;
-  const bool ok = version > 0 ? store.Load(name, version, &loaded, &error)
-                              : store.LoadActive(name, &loaded, &error);
-  if (!ok) {
-    std::fprintf(stderr, "pa_serve: cannot load \"%s\": %s\n", name.c_str(),
-                 error.c_str());
-    return 1;
-  }
-
-  const int num_pois = loaded.pois->size();
-  serve::Engine engine(
-      std::make_shared<const serve::LoadedModel>(std::move(loaded)));
+  const int num_pois = loaded->pois->size();
+  // The probe runs through a one-shard router, as `serve` does by default,
+  // so its instruments carry the unsharded serve.* names.
+  net::ShardedEngine engine(loaded);
+  // Only the pool's constructor registers the util.pool.* instruments, and
+  // nothing on the probe path constructs it.
+  util::GlobalPool();
 
   // Drive a tiny deterministic probe workload so every serving-side
   // instrument (request counters, latency histogram, session gauges,
-  // thread-pool and tensor-pool stats) reflects real traffic rather than
-  // printing an all-zero snapshot. The before-snapshot separates the
-  // probe's own contribution from pre-existing counts (model training in
-  // this process, a warm registry, ...): "registry" is the absolute
-  // after-state, "probe_delta" is just the probe.
+  // tensor-pool stats) reflects real traffic rather than printing an
+  // all-zero snapshot. The before-snapshot separates the probe's own
+  // contribution from pre-existing counts (a warm registry, ...):
+  // "registry" is the absolute after-state, "probe_delta" is just the
+  // probe.
   const obs::MetricRegistry::Snapshot before =
       obs::MetricRegistry::Global().TakeSnapshot();
   const int probe_users =
       static_cast<int>(std::max(1L, flags.GetInt("probe", 4)));
-  std::vector<serve::TopKRequest> batch;
   for (int user = 0; user < probe_users; ++user) {
     for (int step = 0; step < 2; ++step) {
       poi::Checkin checkin;
@@ -538,22 +563,23 @@ int CmdStats(const Flags& flags) {
       checkin.timestamp = 3600 * (step + 1);
       engine.Observe(checkin);
     }
+  }
+  for (int user = 0; user < probe_users; ++user) {
     serve::TopKRequest request;
     request.user = user;
     request.k = 5;
     request.next_timestamp = 3600 * 3;
-    batch.push_back(request);
+    engine.TopK(request);
   }
-  engine.TopKBatch(batch);
 
   const obs::MetricRegistry::Snapshot after =
       obs::MetricRegistry::Global().TakeSnapshot();
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("ok", true)
       .Field("model", engine.model_name())
       .Field("probe_users", int64_t{probe_users})
-      .RawField("stats", engine.Stats().ToJson())
+      .RawField("stats", engine.Stats().engine.ToJson())
       .RawField("registry", obs::SnapshotToJson(after))
       .RawField("probe_delta", obs::SnapshotDeltaJson(before, after))
       .EndObject();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/tensor.h"
 
@@ -15,45 +14,26 @@ SessionStore::SessionStore(std::shared_ptr<const LoadedModel> model,
       1, config_.memory_cap_bytes / std::max<size_t>(1, config_.approx_session_bytes));
 }
 
-std::shared_ptr<SessionStore::Entry> SessionStore::GetOrCreate(
-    int32_t user, bool count_traffic) {
-  std::vector<std::shared_ptr<Entry>> evicted;  // Freed outside the lock.
-  std::shared_ptr<Entry> entry;
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(user);
-    if (it != sessions_.end()) {
-      if (count_traffic) ++stats_.hits;
-      // Move to the front of the LRU list.
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->entry;
-    }
-
-    if (count_traffic) ++stats_.misses;
-    entry = std::make_shared<Entry>();
-    entry->model = model_;
-    lru_.push_front(LruNode{user, entry});
-    sessions_[user] = lru_.begin();
-
-    while (lru_.size() > capacity_) {
-      LruNode& victim = lru_.back();
-      sessions_.erase(victim.user);
-      evicted.push_back(std::move(victim.entry));
-      lru_.pop_back();
-      ++stats_.evictions;
-    }
+SessionStore::User& SessionStore::Lookup(int32_t user) {
+  User& entry = users_[user];
+  if (entry.session) {
+    hits_.Increment();
+    lru_.splice(lru_.begin(), lru_, entry.lru);
+    return entry;
   }
+  misses_.Increment();
+  lru_.push_front(user);
+  entry.lru = lru_.begin();
+  while (lru_.size() > capacity_) {
+    const auto victim = users_.find(lru_.back());
+    victim->second.session.reset();
+    // A user who never observed has nothing left to keep.
+    if (victim->second.history.empty()) users_.erase(victim);
+    lru_.pop_back();
+    evictions_.Increment();
+  }
+  live_sessions_.store(lru_.size(), std::memory_order_relaxed);
 
-  // The entry is published with a null session; every access path calls
-  // EnsureSessionLocked under entry->mu before touching it, so whichever
-  // request reaches the entry first performs the build/rebuild and any
-  // concurrent request for the same user waits on entry->mu.
-  return entry;
-}
-
-void SessionStore::EnsureSessionLocked(Entry& entry, int32_t user) {
-  if (entry.session) return;
   // Rebuilds are the expensive tail of serving (full history replay through
   // the model); count and trace them so eviction pressure shows up in
   // `pa_serve stats` and traces rather than only as a latency mystery.
@@ -61,88 +41,51 @@ void SessionStore::EnsureSessionLocked(Entry& entry, int32_t user) {
   static obs::Counter& rebuilds =
       obs::MetricRegistry::Global().GetCounter("serve.session.rebuilds");
   rebuilds.Increment();
-  // Session rebuild replays the stored history through model forwards;
-  // nothing here ever backpropagates, so run graph-free. (Callers that
-  // already hold a scope nest harmlessly.)
-  const tensor::InferenceModeScope inference;
-  // Copy the replay history under the global lock; replay it outside (model
-  // inference can be slow and must not serialise the whole store). Lock
-  // order is always entry.mu -> mu_; GetOrCreate never holds mu_ while
-  // acquiring an entry mutex.
-  std::deque<poi::Checkin> replay;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto h = history_.find(user);
-    if (h != history_.end()) replay = h->second;
-  }
-  entry.session = entry.model->model->NewSession(user);
-  for (const poi::Checkin& c : replay) entry.session->Observe(c);
+  entry.session = model_->model->NewSession(user);
+  for (const poi::Checkin& c : entry.history) entry.session->Observe(c);
+  return entry;
 }
 
 void SessionStore::Observe(const poi::Checkin& checkin) {
-  std::shared_ptr<Entry> entry = GetOrCreate(checkin.user, true);
-  // entry->mu is held across both the history append and the session
-  // update, so concurrent Observes apply to the live session in the same
-  // order they land in the stored history (a rebuild after eviction then
-  // replays the exact sequence the evicted session saw).
-  std::lock_guard<std::mutex> entry_lock(entry->mu);
+  // Serving never backpropagates: every model forward here, the rebuild
+  // replay included, runs on the tensor engine's graph-free fast path.
   const tensor::InferenceModeScope inference;
-  EnsureSessionLocked(*entry, checkin.user);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::deque<poi::Checkin>& h = history_[checkin.user];
-    h.push_back(checkin);
-    while (static_cast<int>(h.size()) > config_.max_history) h.pop_front();
-  }
-  entry->session->Observe(checkin);
-}
-
-void SessionStore::SeedHistory(int32_t user,
-                               const std::vector<poi::Checkin>& checkins) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::deque<poi::Checkin>& h = history_[user];
-  for (const poi::Checkin& c : checkins) {
-    h.push_back(c);
-    while (static_cast<int>(h.size()) > config_.max_history) h.pop_front();
-  }
-  // Any live session predates the new history; drop it so the next request
-  // rebuilds from the seeded state.
-  auto it = sessions_.find(user);
-  if (it != sessions_.end()) {
-    lru_.erase(it->second);
-    sessions_.erase(it);
-  }
+  User& entry = Lookup(checkin.user);
+  // The live session and the stored history see the same sequence, so a
+  // rebuild after eviction replays exactly what the evicted session saw.
+  entry.history.push_back(checkin);
+  const size_t max_history = std::max(0, config_.max_history);
+  while (entry.history.size() > max_history) entry.history.pop_front();
+  entry.session->Observe(checkin);
 }
 
 std::vector<int32_t> SessionStore::TopK(int32_t user, int k,
                                         int64_t next_timestamp) {
-  std::shared_ptr<Entry> entry = GetOrCreate(user, true);
-  std::lock_guard<std::mutex> entry_lock(entry->mu);
   const tensor::InferenceModeScope inference;
-  EnsureSessionLocked(*entry, user);
-  return entry->session->TopK(k, next_timestamp);
+  return Lookup(user).session->TopK(k, next_timestamp);
 }
 
 bool SessionStore::HasHistory(int32_t user) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = history_.find(user);
-  return it != history_.end() && !it->second.empty();
+  const auto it = users_.find(user);
+  return it != users_.end() && !it->second.history.empty();
 }
 
-void SessionStore::Clear() {
-  std::list<LruNode> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped.swap(lru_);  // Destroy entries outside the lock.
-    sessions_.clear();
-    history_.clear();
-  }
+void SessionStore::Clear(std::shared_ptr<const LoadedModel> model) {
+  model_ = std::move(model);
+  users_.clear();
+  lru_.clear();
+  hits_.Reset();
+  misses_.Reset();
+  evictions_.Reset();
+  live_sessions_.store(0, std::memory_order_relaxed);
 }
 
 SessionStoreStats SessionStore::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SessionStoreStats stats = stats_;
-  stats.live_sessions = lru_.size();
+  SessionStoreStats stats;
+  stats.hits = hits_.value();
+  stats.misses = misses_.value();
+  stats.evictions = evictions_.value();
+  stats.live_sessions = live_sessions_.load(std::memory_order_relaxed);
   return stats;
 }
 

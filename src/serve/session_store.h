@@ -1,14 +1,15 @@
 #ifndef PA_SERVE_SESSION_STORE_H_
 #define PA_SERVE_SESSION_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "poi/checkin.h"
 #include "serve/artifact.h"
 
@@ -47,15 +48,10 @@ struct SessionStoreStats {
 ///    truncate context the same way, so this is by design (documented in
 ///    DESIGN.md "Serving").
 ///
-/// Thread safety: a global mutex guards the maps and LRU list; each entry
-/// carries its own mutex serialising Observe/TopK on that user's session.
-/// A newly created entry is published into the map with a null session;
-/// every access path lazily builds it under the entry mutex
-/// (EnsureSessionLocked), so no path ever dereferences a session another
-/// thread is still constructing. Lock order is entry mutex, then global
-/// mutex — never the reverse. Entries are `shared_ptr`s, so an eviction
-/// racing a request on the same user frees the entry only after the
-/// request finishes with it.
+/// Single owner, no locks: `Observe`, `TopK`, `HasHistory` and `Clear` run
+/// on one thread at a time (a shard worker owns its engine's store). Only
+/// `Stats()` may be called from any thread; it reads relaxed atomics, so a
+/// reader sees each counter's latest value but not one consistent cut.
 class SessionStore {
  public:
   SessionStore(std::shared_ptr<const LoadedModel> model,
@@ -64,57 +60,44 @@ class SessionStore {
   /// Appends to the user's history and advances their session.
   void Observe(const poi::Checkin& checkin);
 
-  /// Pre-loads history (e.g. from a dataset's training tail) without
-  /// counting the lookups as cache traffic.
-  void SeedHistory(int32_t user, const std::vector<poi::Checkin>& checkins);
-
   /// Top-k POI ids for the user's next check-in, best first.
   std::vector<int32_t> TopK(int32_t user, int k, int64_t next_timestamp);
 
-  /// True iff the user has at least one observed (or seeded) check-in.
-  /// Does not touch the LRU or the traffic counters.
+  /// True iff the user has at least one observed check-in. Does not touch
+  /// the LRU or the traffic counters.
   bool HasHistory(int32_t user) const;
 
-  /// Drops every session AND every history (model swap: old state is
-  /// meaningless against new parameters).
-  void Clear();
+  /// Resets the store in place to serve `model` (a model swap: old state is
+  /// meaningless against new parameters). Drops every session and every
+  /// history, and zeroes the counters, like a freshly built store.
+  void Clear(std::shared_ptr<const LoadedModel> model);
 
   SessionStoreStats Stats() const;
 
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Entry {
-    std::mutex mu;
-    std::unique_ptr<rec::RecSession> session;
-    // Pins the model: a swap may drop the store's reference while a request
-    // still runs on this entry.
-    std::shared_ptr<const LoadedModel> model;
+  struct User {
+    std::deque<poi::Checkin> history;  // The last max_history check-ins.
+    std::unique_ptr<rec::RecSession> session;  // Null while evicted.
+    std::list<int32_t>::iterator lru;  // Valid while `session` is live.
   };
 
-  /// Returns the user's entry, creating one (with a null session) on miss.
-  /// Evicts LRU entries over capacity. Caller must NOT hold mu_.
-  std::shared_ptr<Entry> GetOrCreate(int32_t user, bool count_traffic);
-
-  /// Builds the entry's session from the stored history if it is still
-  /// null. Caller must hold entry.mu and must NOT hold mu_ (this method
-  /// takes mu_ briefly to copy the replay history).
-  void EnsureSessionLocked(Entry& entry, int32_t user);
+  /// The user's record with a live session: a hit moves it to the front of
+  /// the LRU; a miss evicts over capacity and rebuilds from the history.
+  User& Lookup(int32_t user);
 
   std::shared_ptr<const LoadedModel> model_;
   SessionStoreConfig config_;
   size_t capacity_;
 
-  mutable std::mutex mu_;
-  // LRU list: most-recent at front; map values point into it.
-  struct LruNode {
-    int32_t user;
-    std::shared_ptr<Entry> entry;
-  };
-  std::list<LruNode> lru_;
-  std::unordered_map<int32_t, std::list<LruNode>::iterator> sessions_;
-  std::unordered_map<int32_t, std::deque<poi::Checkin>> history_;
-  SessionStoreStats stats_;
+  std::unordered_map<int32_t, User> users_;
+  std::list<int32_t> lru_;  // Users with a live session, most recent first.
+
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter evictions_;
+  std::atomic<uint64_t> live_sessions_{0};
 };
 
 }  // namespace pa::serve

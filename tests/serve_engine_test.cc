@@ -52,28 +52,6 @@ TEST(EngineTest, TopKMatchesDirectSession) {
   EXPECT_GT(response.latency_micros, 0.0);
 }
 
-TEST(EngineTest, TopKBatchPreservesRequestOrder) {
-  auto model = FittedModel("FPMC-LR");
-  Engine engine(model);
-  for (int u = 0; u < 3; ++u) {
-    for (int i = 0; i < 6; ++i) {
-      engine.Observe({u, i % 4, i * 3 * kHour, false});
-    }
-  }
-
-  std::vector<TopKRequest> batch;
-  for (int u = 0; u < 3; ++u) batch.push_back({u, 5, 6 * 3 * kHour});
-  const std::vector<TopKResponse> responses = engine.TopKBatch(batch);
-  ASSERT_EQ(responses.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(responses[i].status, RequestStatus::kOk) << i;
-    // Response i answers request i: identical to the sync call.
-    EXPECT_EQ(responses[i].pois,
-              engine.TopK(batch[i]).pois)
-        << i;
-  }
-}
-
 TEST(EngineTest, ZeroDeadlineFailsEveryRequestWithTypedError) {
   auto model = FittedModel("FPMC-LR");
   EngineConfig config;
@@ -84,11 +62,8 @@ TEST(EngineTest, ZeroDeadlineFailsEveryRequestWithTypedError) {
   EXPECT_EQ(sync.status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(sync.pois.empty());
 
-  const std::vector<TopKResponse> batch =
-      engine.TopKBatch({{0, 5, 0}, {1, 5, 0}});
-  for (const TopKResponse& r : batch) {
-    EXPECT_EQ(r.status, RequestStatus::kDeadlineExceeded);
-  }
+  EXPECT_EQ(engine.TopK({0, 5, 0}).status, RequestStatus::kDeadlineExceeded);
+  EXPECT_EQ(engine.TopK({1, 5, 0}).status, RequestStatus::kDeadlineExceeded);
 
   const EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.requests, 3u);
@@ -101,18 +76,6 @@ TEST(EngineTest, InvalidKIsATypedError) {
   const TopKResponse response = engine.TopK({0, 0, 0});
   EXPECT_EQ(response.status, RequestStatus::kInvalidArgument);
   EXPECT_TRUE(response.pois.empty());
-}
-
-TEST(EngineTest, AsyncMatchesSync) {
-  auto model = FittedModel("FPMC-LR");
-  Engine engine(model);
-  for (int i = 0; i < 6; ++i) engine.Observe({0, i % 4, i * 3 * kHour, false});
-
-  const TopKRequest request{0, 5, 6 * 3 * kHour};
-  std::future<TopKResponse> future = engine.TopKAsync(request);
-  const TopKResponse async = future.get();
-  ASSERT_EQ(async.status, RequestStatus::kOk);
-  EXPECT_EQ(async.pois, engine.TopK(request).pois);
 }
 
 TEST(EngineTest, StatsTrackRequestsAndPercentiles) {

@@ -1,9 +1,12 @@
 #include "serve/json.h"
 
+#include <limits>
 #include <map>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "obs/json.h"
 
 namespace pa::serve {
 namespace {
@@ -63,7 +66,7 @@ TEST(JsonParseTest, DuplicateKeysKeepLast) {
 }
 
 TEST(JsonWriteTest, BuildsObjectsArraysAndEscapes) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("ok", true)
       .Field("name", "a\"b\n")
@@ -76,13 +79,35 @@ TEST(JsonWriteTest, BuildsObjectsArraysAndEscapes) {
 }
 
 TEST(JsonWriteTest, IntegralDoublesPrintWithoutFraction) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject().Field("a", 3.0).Field("b", 0.25).EndObject();
   EXPECT_EQ(w.str(), R"({"a":3,"b":0.25})");
 }
 
+TEST(JsonWriteTest, NonFiniteNumbersWriteZero) {
+  // JSON has no NaN or infinity, and every numeric field must stay a
+  // number: the one emitter writes them as 0, in fields and elements.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Field("nan", std::numeric_limits<double>::quiet_NaN())
+      .Field("inf", kInf)
+      .BeginArray("xs")
+      .Element(-kInf)
+      .Element(2.5)
+      .EndArray()
+      .EndObject();
+  EXPECT_EQ(w.str(), R"({"nan":0,"inf":0,"xs":[0,2.5]})");
+}
+
+TEST(JsonWriteTest, EscapesControlCharacters) {
+  obs::JsonWriter w;
+  w.BeginObject().Field("s", std::string("\b\f\x01\t")).EndObject();
+  EXPECT_EQ(w.str(), R"({"s":"\b\f\u0001\t"})");
+}
+
 TEST(JsonWriteTest, OutputRoundTripsThroughParser) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject()
       .Field("op", "topk")
       .Field("user", 12)

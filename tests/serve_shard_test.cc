@@ -264,6 +264,68 @@ TEST(ShardedEngineTest, ModelFlipUnderTrafficDropsNothing) {
   EXPECT_EQ(response.pois, direct->TopK(5, 2 * kHour));
 }
 
+// Each shard's engine and store are single-owner and lock-free: only the
+// shard worker calls into them. Their stats are the one cross-thread read,
+// through relaxed atomics. Serve with evictions, top-ks and a swap while
+// another thread polls every such read; the TSan pass checks the pair.
+TEST(ShardedEngineTest, StatsReadsFromAnotherThreadWhileShardsServe) {
+  auto before = FittedModel("LSTM");
+  auto after = FittedModel("FPMC-LR");
+  ShardedEngineConfig config;
+  config.num_shards = 2;
+  // Two sessions per shard, so the traffic below keeps evicting.
+  config.sessions.approx_session_bytes = 1024;
+  config.sessions.memory_cap_bytes = 4 * 1024;
+  ShardedEngine engine(before, config);
+
+  std::atomic<bool> serving{true};
+  std::atomic<int> polls{0};
+  std::thread poller([&] {
+    while (serving.load()) {
+      const ShardStats total = engine.Stats();
+      uint64_t live = 0;
+      for (int shard = 0; shard < engine.num_shards(); ++shard) {
+        live += engine.StatsForShard(shard).engine.live_sessions;
+      }
+      const std::string name = engine.model_name();
+      const auto snapshot = obs::MetricRegistry::Global().TakeSnapshot();
+      EXPECT_LE(total.engine.live_sessions, 4u);
+      EXPECT_LE(live, 4u);
+      EXPECT_TRUE(name == before->name || name == after->name) << name;
+      EXPECT_TRUE(snapshot.gauges.count("serve.shard0.sessions.live"));
+      polls.fetch_add(1);
+    }
+  });
+
+  auto serve = [&engine](int round) {
+    for (int32_t user = 0; user < 12; ++user) {
+      EXPECT_EQ(engine.Observe({user, (user + round) % 8, round * kHour,
+                                false}),
+                serve::RequestStatus::kOk);
+      const serve::TopKResponse response =
+          engine.TopK({user, 5, (round + 1) * kHour});
+      EXPECT_EQ(response.status, serve::RequestStatus::kOk);
+      EXPECT_EQ(response.pois.size(), 5u);
+    }
+  };
+  for (int round = 0; round < 3; ++round) serve(round);
+  engine.SwapModel(after);
+  for (int round = 3; round < 6; ++round) serve(round);
+  // Let the poller see the settled state at least once.
+  const int seen = polls.load();
+  while (polls.load() < seen + 2) std::this_thread::yield();
+  serving.store(false);
+  poller.join();
+
+  EXPECT_EQ(engine.model_name(), after->name);
+  const ShardStats stats = engine.Stats();
+  // The swap reset every store: these counts are the post-swap rounds'.
+  EXPECT_GT(stats.engine.session_evictions, 0u);
+  EXPECT_LE(stats.engine.live_sessions, 4u);
+  EXPECT_EQ(stats.engine.session_hits + stats.engine.session_misses,
+            3u * 12u * 2u);
+}
+
 TEST(ShardedEngineTest, PerShardMetricsRegisterUnderShardPrefixes) {
   auto model = FittedModel("FPMC-LR");
   ShardedEngineConfig config;
