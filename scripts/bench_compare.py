@@ -11,9 +11,11 @@ This script has two modes:
       Diff the numeric metrics of two runs of the same benchmark. A metric
       is a regression when it moves in its "worse" direction by more than
       the threshold fraction (default 15%). Exits 1 if any metric
-      regressed, 2 on malformed input or when the two files come from
-      different hosts: their "simd_table" or "hardware_concurrency"
-      stamps differ (a field one file lacks counts as different). A
+      regressed, 2 on malformed input, when the two files carry different
+      schema_versions (a key may keep its name across versions but time
+      another arm), or when they come from different hosts: their
+      "simd_table" or "hardware_concurrency" stamps differ (a field one
+      file lacks counts as different). A
       *missing* baseline is not an
       error: the current run is recorded as the new baseline and the
       script exits 0 — first runs on a fresh checkout (or after a bench
@@ -31,10 +33,12 @@ This script has two modes:
       Used by tier1.sh as a cheap smoke gate without needing a baseline.
       Benches with known schemas get extra checks: an "inference_path"
       file at schema_version >= 2 must carry the SIMD-dispatch arm
-      (simd_table, *_scalar_ns_op, *_simd_speedup), at >= 3 the fusion
-      arm (*_fused_ns_op, *_fused_speedup) and at >= 4 the host's
-      hardware_concurrency. (Schema 4 dropped the int8 serving arm,
-      which earlier files still carry.)
+      (simd_table, *_scalar_ns_op, *_simd_speedup), at 3 and 4 the fusion
+      arm (*_fused_ns_op, *_fused_speedup), at >= 4 the host's
+      hardware_concurrency and at >= 5 the explicit arm
+      (*_explicit_ns_op, topk_qps). (Schema 4 dropped the int8 serving
+      arm and schema 5 the graph-free and fused arms, which earlier files
+      still carry.)
 
       Files ending in .ndjson are validated as PA_OBS_TIMESERIES dumps
       instead (schema "pa.timeseries.v1", one object per line): seq must
@@ -75,7 +79,7 @@ INFERENCE_PATH_V2_KEYS = (
     "st_clstm_forward_simd_speedup",
 )
 
-# inference_path grew the operator-fusion arm in schema_version 3:
+# inference_path carried the operator-fusion arm in schema_versions 3 and 4:
 # `nograph` pins fusion off (comparable with v2 history) and the fused arm
 # runs the cells' explicit fused forwards;
 # *_fused_speedup = nograph_ns / fused_ns.
@@ -92,6 +96,20 @@ INFERENCE_PATH_V3_KEYS = (
 # inference_path dropped the int8 serving arm and stamped the host's core
 # count beside simd_table in schema_version 4.
 INFERENCE_PATH_V4_KEYS = ("hardware_concurrency",)
+
+# inference_path has one inference arm in schema_version 5: `explicit`
+# steps flat state through the cells' ForwardRows, timed against the graph
+# Forward (*_speedup = graph_ns / explicit_ns) and, pinned to the scalar
+# table, against itself (*_simd_speedup = scalar_ns / explicit_ns). The
+# graph-free, fused and pool fields of schemas 3 and 4 are gone.
+INFERENCE_PATH_V5_KEYS = (
+    "lstm_forward_explicit_ns_op",
+    "lstm_forward_speedup",
+    "st_clstm_forward_explicit_ns_op",
+    "st_clstm_forward_speedup",
+    "lstm_forward_h128_explicit_ns_op",
+    "topk_qps",
+)
 
 # serving grew the sharded-router, networked and overload arms in
 # schema_version 2 (bench_serving: ShardedEngine scaling, NdjsonServer
@@ -314,7 +332,7 @@ def check_schema(paths):
                 problems.append("'simd_table' must be a non-empty string")
         if doc.get("bench") == "inference_path" and \
                 isinstance(doc.get("schema_version"), int) and \
-                doc["schema_version"] >= 3:
+                3 <= doc["schema_version"] < 5:
             for key in INFERENCE_PATH_V3_KEYS:
                 if key not in doc:
                     problems.append(f"inference_path v3 missing '{key}'")
@@ -331,6 +349,12 @@ def check_schema(paths):
                     or cores < 0:
                 problems.append("'hardware_concurrency' must be a "
                                 f"non-negative integer ({cores!r})")
+        if doc.get("bench") == "inference_path" and \
+                isinstance(doc.get("schema_version"), int) and \
+                doc["schema_version"] >= 5:
+            for key in INFERENCE_PATH_V5_KEYS:
+                if key not in doc:
+                    problems.append(f"inference_path v5 missing '{key}'")
         if doc.get("bench") == "serving" and \
                 isinstance(doc.get("schema_version"), int) and \
                 doc["schema_version"] >= 2:
@@ -397,6 +421,12 @@ def compare(baseline_path, current_path, threshold):
     if baseline.get("bench") != current.get("bench"):
         print(f"bench_compare: benchmark mismatch: {baseline.get('bench')!r} "
               f"vs {current.get('bench')!r}", file=sys.stderr)
+        return 2
+    if baseline.get("schema_version") != current.get("schema_version"):
+        print(f"bench_compare: schema mismatch: schema_version "
+              f"{baseline.get('schema_version')!r} vs "
+              f"{current.get('schema_version')!r}; refusing to diff runs "
+              f"whose keys may time different arms", file=sys.stderr)
         return 2
     for key in HOST_STAMP_KEYS:
         if baseline.get(key) != current.get(key):

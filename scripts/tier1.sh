@@ -52,15 +52,6 @@ for simd in "${simd_values[@]}"; do
     -R 'tensor_kernels_test|tensor_ops_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test'
 done
 
-# Fusion escape-hatch cross-check: with PA_FUSION=off every recurrent cell
-# runs its tensor-op body instead of its explicit fused forward. The fusion
-# and equivalence suites rerun that way, proving the graph-free tensor-op
-# path stands on its own, and the serving suites prove that LSTM sessions,
-# which step their state in place only while fusion is on, fall back to the
-# tensor-op step path intact.
-PA_FUSION=off ctest --test-dir build --output-on-failure \
-  -R 'tensor_fusion_test|inference_equivalence_test|rec_neural_test|serve_session_store_test'
-
 # Golden smoke tables: the CSV block each table bench prints under --smoke
 # must match its file in bench/golden/ byte for byte (the wall time prints
 # after the block). The blocks are the same under every kernel table and
@@ -77,9 +68,9 @@ for simd in "${simd_values[@]}"; do
 done
 echo "golden smoke tables: OK"
 
-# Inference fast-path smoke: the bench binary in --smoke mode checks
-# bit-identity between the graph and graph-free forward paths (skipping the
-# slow timed speedup gate), and bench_compare.py validates the emitted JSON
+# Inference-path smoke: the bench binary in --smoke mode checks
+# bit-identity between the graph forward and the explicit row forwards of
+# the LSTM and ST-CLSTM cells (skipping the slow timed speedup gates), and bench_compare.py validates the emitted JSON
 # — including the embedded obs::MetricRegistry snapshot — so a malformed
 # BENCH file fails here rather than in CI diffing.
 PA_BENCH_DIR=build build/bench/bench_inference_path --smoke
@@ -156,12 +147,56 @@ for cmd in serve listen; do
   done
 done
 echo "pa_serve serve/listen: out-of-range --shards and --deadline-ms refused"
+# Every numeric flag pa_serve narrows to an int is refused the same way
+# when out of range: publish sizes that would abort the generator or train
+# over an empty POI table, a version that would wrap to another one, a
+# probe or an idle timeout outside its bounds. Nothing is published.
+big=4294967297  # 2^32 + 1: narrows to 1 as an int.
+for args in \
+    "publish --users -1" "publish --users 0" "publish --users 1000001" \
+    "publish --users $big" "publish --pois -3" "publish --pois 0" \
+    "publish --pois 1000001" "publish --pois $big" \
+    "activate --model LSTM --version 0" "activate --model LSTM --version $big" \
+    "serve --version 0" "serve --version -1" "serve --version $big" \
+    "listen --version $big" "listen --idle-timeout-ms -1" \
+    "listen --idle-timeout-ms 86400001" "stats --version $big" \
+    "stats --probe 0" "stats --probe 100001"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a subcommand, a flag and a value.
+  timeout 60 build/src/serve/pa_serve $args --store build/tier1_store \
+    </dev/null >/dev/null 2>&1 || status=$?
+  [[ $status -eq 2 ]] \
+    || { echo "pa_serve $args exited $status, want 2" >&2; exit 1; }
+done
+build/src/serve/pa_serve list --store build/tier1_store | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.readline())
+assert [(m["versions"], m["active"]) for m in doc["models"]] == [([1], 1)], doc
+print("pa_serve: out-of-range numeric flags refused, store unchanged")
+'
+# A refused value does no work at all: it comes before the store
+# directory is made, so a store that does not exist stays absent.
+rm -rf build/tier1_no_store
+for args in \
+    "publish --pois 0" "activate --model LSTM --version 0" \
+    "serve --version 0" "serve --shards 0" "listen --version $big" \
+    "listen --idle-timeout-ms -1" "stats --version 0" "stats --probe 0"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a subcommand, a flag and a value.
+  timeout 60 build/src/serve/pa_serve $args --store build/tier1_no_store \
+    </dev/null >/dev/null 2>&1 || status=$?
+  [[ $status -eq 2 ]] \
+    || { echo "pa_serve $args exited $status, want 2" >&2; exit 1; }
+  [[ ! -e build/tier1_no_store ]] \
+    || { echo "pa_serve $args made its store before refusing" >&2; exit 1; }
+done
+echo "pa_serve: refused flags leave a missing store uncreated"
 build/src/serve/pa_serve stats --store build/tier1_store | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.readline())
 assert doc["ok"] is True, doc
 reg = doc["registry"]
-for name in ("serve.requests", "util.pool.submitted", "tensor.pool.hits"):
+for name in ("serve.requests", "util.pool.submitted"):
     assert name in reg["counters"], f"missing counter {name}"
 assert "serve.sessions.live" in reg["gauges"], "missing session gauge"
 assert "serve.latency_us" in reg["histograms"], "missing latency histogram"
@@ -418,8 +453,8 @@ fi
 # serving threads (shard workers that each own an engine and its session
 # store, read cross-thread only through their stats) get rebuilt under
 # -fsanitize=thread; a race anywhere in ParallelFor users, the shard
-# router, the thread-local inference buffer pools or the per-Backward
-# transposed operands (tensor_ops_test runs two Backward walks over one
+# router, the session rows stepped on the shard workers and their
+# per-thread scratch, or the per-Backward transposed operands (tensor_ops_test runs two Backward walks over one
 # shared weight at once) shows up here even on a single-core host.
 cmake -B build-tsan -S . -DPA_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
@@ -448,7 +483,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # ride along because Impute decodes through pointers and indices into
 # candidate-set tables and packed projection columns that live for one
 # call, and so does the direct-recommendation suite, whose RankNext
-# hands a raw logits row to the top-k; the R-tree suite checks the radius
+# hands a raw logits row to the top-k, and the neural-recommender suite,
+# whose sessions step raw h/c rows and must refuse a POI outside the table
+# before any row or coordinate is read; the R-tree suite checks the radius
 # queries those candidate sets come from. The golden suite runs the fitted
 # model's Impute at 2 km, which reads the candidate bitmaps, and the
 # linear-interpolation suite feeds out-of-range observed POIs that must be
@@ -465,8 +502,8 @@ cmake --build build-asan -j"$(nproc)" --target \
   tensor_ops_test tensor_gradcheck_test \
   augment_pa_seq2seq_test augment_extensions_test \
   augment_linear_interpolation_test training_golden_test \
-  rec_pa_seq2seq_direct_test geo_rtree_test
+  rec_pa_seq2seq_direct_test rec_neural_test geo_rtree_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|tensor_ops_test|tensor_gradcheck_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|geo_rtree_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|tensor_ops_test|tensor_gradcheck_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|rec_neural_test|geo_rtree_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

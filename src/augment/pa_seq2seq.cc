@@ -185,7 +185,7 @@ tensor::Tensor PaSeq2Seq::Decode(const WorkItem& item, util::Rng* rng) const {
     s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, zrng);
     Tensor top_in = s1.h;
     if (config_.use_residual) {
-      top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
+      top_in = tensor::Add(top_in, dec_input_projection_.Forward(x));
     }
     s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, zrng);
 
@@ -309,10 +309,7 @@ tensor::Tensor PaSeq2Seq::DecoderLmLoss(const WorkItem& item,
     s1 = dec_bottom_.ForwardZoneout(x, s1, zoneout, zrng);
     Tensor top_in = s1.h;
     if (config_.use_residual) {
-      // Both operands moved: the dying projection result is overwritten
-      // in place under inference (top_in still shares s1.h, so it takes
-      // the allocating path automatically).
-      top_in = tensor::Add(std::move(top_in), dec_input_projection_.Forward(x));
+      top_in = tensor::Add(top_in, dec_input_projection_.Forward(x));
     }
     s2 = dec_top_.ForwardZoneout(top_in, s2, zoneout, zrng);
     loss_rows.push_back(output_.Forward(s2.h));

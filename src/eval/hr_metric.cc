@@ -6,8 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/buffer_pool.h"
-#include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
 namespace pa::eval {
@@ -77,10 +75,6 @@ HrResult EvaluateHr(const rec::Recommender& recommender,
       int64_t{0}, static_cast<int64_t>(num_users), /*grain=*/1,
       [&](int64_t u) {
         PA_TRACE_SPAN("eval.user");
-        // Evaluation never backpropagates: run every session forward on the
-        // graph-free fast path. The scope is per worker thread, entered here
-        // because pool workers do not inherit the caller's scope.
-        const tensor::InferenceModeScope inference;
         HrAccumulator acc;
         const size_t us = static_cast<size_t>(u);
         const bool has_test = us < test.size() && !test[us].empty();
@@ -95,12 +89,11 @@ HrResult EvaluateHr(const rec::Recommender& recommender,
           session->Observe(c);
         }
         // Per-worker throughput: one wall-time sample and one cases bump per
-        // evaluated user, then the thread's pool tallies flush as deltas.
+        // evaluated user.
         user_us.Record(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - start)
                            .count());
         cases.Add(static_cast<uint64_t>(test[us].size()));
-        tensor::internal::ThisThreadPool().FlushStatsToRegistry();
         return acc;
       });
   // Ascending user order: the mrr10 double sum has a fixed reduction order,

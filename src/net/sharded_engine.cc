@@ -4,7 +4,6 @@
 #include <future>
 
 #include "obs/trace.h"
-#include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
 namespace pa::net {
@@ -212,8 +211,7 @@ void ShardedEngine::WorkerLoop(Shard& shard) {
         {
           // Warm the incoming model on this worker before the flip: one
           // throwaway forward pays the lazy one-time costs (POI index
-          // build, buffer-pool growth) outside any user request.
-          const tensor::InferenceModeScope inference;
+          // build, the per-thread scratch rows) outside any user request.
           std::unique_ptr<rec::RecSession> warm =
               task.model->model->NewSession(0);
           warm->TopK(1, 0);

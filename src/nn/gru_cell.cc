@@ -26,14 +26,6 @@ GruCell::GruCell(int input_dim, int hidden_dim, util::Rng& rng)
 tensor::Tensor GruCell::Forward(const tensor::Tensor& x,
                                 const tensor::Tensor& h) const {
   const int hd = hidden_dim_;
-  const tensor::Shape state_shape{x.rows(), hd};
-  // Shape mismatches take the tensor-op body, whose ops report them.
-  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-      x.cols() == input_dim_ && h.shape() == state_shape) {
-    Tensor out = tensor::detail::MakeInferencePooled(state_shape);
-    ForwardRows(x.data(), h.data(), out.data(), x.rows());
-    return out;
-  }
   Tensor xg = tensor::Add(tensor::MatMul(x, w_x_), b_);
   Tensor hg = tensor::MatMul(h, w_h_);
 

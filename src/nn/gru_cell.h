@@ -21,10 +21,9 @@ class GruCell : public Module {
  public:
   GruCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. Under inference
-  /// mode with fusion enabled this runs `ForwardRows` into a pooled output;
-  /// otherwise the tensor-op body, which gives the same bits within one
-  /// kernel table.
+  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. This is the
+  /// graph (training) path, built from tensor ops; `ForwardRows` is the
+  /// inference path and gives the same bits within one kernel table.
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
 

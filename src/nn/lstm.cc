@@ -24,10 +24,10 @@ Tensor BernoulliMask(tensor::Shape shape, float keep_prob, util::Rng& rng) {
 
 // blend = mask * prev + (1 - mask) * next, where mask carries no gradient.
 // One fused pass (bit-identical to the old Mul/Mul/Add composition — see
-// Lerp in ops.h); `next` is the dying fresh state, overwritten in place
-// under inference mode.
-Tensor ZoneoutBlend(const Tensor& mask, const Tensor& prev, Tensor&& next) {
-  return tensor::Lerp(mask, prev, std::move(next));
+// Lerp in ops.h).
+Tensor ZoneoutBlend(const Tensor& mask, const Tensor& prev,
+                    const Tensor& next) {
+  return tensor::Lerp(mask, prev, next);
 }
 
 }  // namespace
@@ -45,18 +45,6 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, util::Rng& rng)
 LstmState LstmCell::Forward(const tensor::Tensor& x,
                             const LstmState& prev) const {
   const int h = hidden_dim_;
-  const int batch = x.rows();
-  const tensor::Shape state_shape{batch, h};
-  // Shape mismatches take the tensor-op body, whose ops report them.
-  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-      x.cols() == input_dim_ && prev.h.shape() == state_shape &&
-      prev.c.shape() == state_shape) {
-    LstmState next{tensor::detail::MakeInferencePooled(state_shape),
-                   tensor::detail::MakeInferencePooled(state_shape)};
-    ForwardRows(x.data(), prev.h.data(), prev.c.data(), next.h.data(),
-                next.c.data(), batch);
-    return next;
-  }
   Tensor gates = tensor::Add(
       tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);
   Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
@@ -108,11 +96,11 @@ LstmState LstmCell::ForwardZoneout(const tensor::Tensor& x,
   LstmState next = Forward(x, prev);
   if (zoneout.hidden_prob > 0.0f) {
     Tensor mask = BernoulliMask(next.h.shape(), zoneout.hidden_prob, rng);
-    next.h = ZoneoutBlend(mask, prev.h, std::move(next.h));
+    next.h = ZoneoutBlend(mask, prev.h, next.h);
   }
   if (zoneout.cell_prob > 0.0f) {
     Tensor mask = BernoulliMask(next.c.shape(), zoneout.cell_prob, rng);
-    next.c = ZoneoutBlend(mask, prev.c, std::move(next.c));
+    next.c = ZoneoutBlend(mask, prev.c, next.c);
   }
   return next;
 }
@@ -187,11 +175,8 @@ std::vector<tensor::Tensor> ResidualBiLstmStack::Forward(
     if (use_residual_) {
       tensor::Tensor skip =
           input_projection_ ? input_projection_->Forward(xs[t]) : xs[t];
-      // x^1 = h^1 + x^0 (paper Eq. 3). Both operands are moved: the dying
-      // one (the projection result, when there is one) is overwritten in
-      // place under inference; tensors still shared (bottom_out[t], xs[t])
-      // fail the sole-owner test and take the allocating path unchanged.
-      top_in = tensor::Add(std::move(top_in), std::move(skip));
+      // x^1 = h^1 + x^0 (paper Eq. 3).
+      top_in = tensor::Add(top_in, skip);
     }
     state = top_.Forward(top_in, state);
     out[t] = state.h;

@@ -35,11 +35,9 @@ class LstmCell : public Module {
  public:
   LstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// Plain step: x is `[batch, input_dim]`, returns the next state. Under
-  /// inference mode with fusion enabled (`fusion::Enabled()`) this runs
-  /// `ForwardRows` into pooled outputs; otherwise (graph mode, PA_FUSION=off,
-  /// `ScopedFusionDisable`) it runs the tensor-op body, the reference both
-  /// paths are bit-identical to within one kernel table.
+  /// Plain step: x is `[batch, input_dim]`, returns the next state. This is
+  /// the graph (training) path, built from tensor ops; `ForwardRows` is the
+  /// inference path and gives the same bits within one kernel table.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev) const;
 
   /// The explicit inference step over raw rows: x `[batch, input_dim]`,

@@ -15,14 +15,6 @@ RnnCell::RnnCell(int input_dim, int hidden_dim, util::Rng& rng)
 
 tensor::Tensor RnnCell::Forward(const tensor::Tensor& x,
                                 const tensor::Tensor& h) const {
-  const tensor::Shape state_shape{x.rows(), hidden_dim_};
-  // Shape mismatches take the tensor-op body, whose ops report them.
-  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-      x.cols() == input_dim_ && h.shape() == state_shape) {
-    tensor::Tensor out = tensor::detail::MakeInferencePooled(state_shape);
-    ForwardRows(x.data(), h.data(), out.data(), x.rows());
-    return out;
-  }
   return tensor::Tanh(tensor::Add(
       tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(h, w_h_)), b_));
 }

@@ -15,10 +15,9 @@ class RnnCell : public Module {
  public:
   RnnCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. Under inference
-  /// mode with fusion enabled (`fusion::Enabled()`) this runs `ForwardRows`
-  /// into a pooled output; otherwise it runs the tensor-op body, the
-  /// reference both paths are bit-identical to within one kernel table.
+  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. This is the
+  /// graph (training) path, built from tensor ops; `ForwardRows` is the
+  /// inference path and gives the same bits within one kernel table.
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
 

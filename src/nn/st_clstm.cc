@@ -35,18 +35,6 @@ StClstmCell::StClstmCell(int input_dim, int hidden_dim, util::Rng& rng)
 LstmState StClstmCell::Forward(const tensor::Tensor& x, const LstmState& prev,
                                float delta_t, float delta_d) const {
   const int h = hidden_dim_;
-  const int batch = x.rows();
-  const tensor::Shape state_shape{batch, h};
-  // Shape mismatches take the tensor-op body, whose ops report them.
-  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-      x.cols() == input_dim_ && prev.h.shape() == state_shape &&
-      prev.c.shape() == state_shape) {
-    LstmState next{tensor::detail::MakeInferencePooled(state_shape),
-                   tensor::detail::MakeInferencePooled(state_shape)};
-    ForwardRows(x.data(), prev.h.data(), prev.c.data(), delta_t, delta_d,
-                next.h.data(), next.c.data(), batch);
-    return next;
-  }
   Tensor gates = tensor::Add(
       tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);
   Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));

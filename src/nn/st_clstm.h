@@ -31,10 +31,9 @@ class StClstmCell : public Module {
   StClstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
   /// One step. `delta_t` and `delta_d` are the (normalized) time and
-  /// distance intervals from the previous check-in to this one. Under
-  /// inference mode with fusion enabled this runs `ForwardRows` into pooled
-  /// outputs; otherwise the tensor-op body, which gives the same bits within
-  /// one kernel table.
+  /// distance intervals from the previous check-in to this one. This is the
+  /// graph (training) path, built from tensor ops; `ForwardRows` is the
+  /// inference path and gives the same bits within one kernel table.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev,
                     float delta_t, float delta_d) const;
 

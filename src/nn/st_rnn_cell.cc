@@ -45,14 +45,6 @@ int StRnnCell::DistanceBucket(float delta_d) const {
 tensor::Tensor StRnnCell::Forward(const tensor::Tensor& x,
                                   const tensor::Tensor& h, float delta_t,
                                   float delta_d) const {
-  const tensor::Shape state_shape{x.rows(), hidden_dim_};
-  // Shape mismatches take the tensor-op body, whose ops report them.
-  if (tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-      x.cols() == input_dim_ && h.shape() == state_shape) {
-    tensor::Tensor out = tensor::detail::MakeInferencePooled(state_shape);
-    ForwardRows(x.data(), h.data(), delta_t, delta_d, out.data(), x.rows());
-    return out;
-  }
   const tensor::Tensor& wx = w_x_[static_cast<size_t>(DistanceBucket(delta_d))];
   const tensor::Tensor& wh = w_h_[static_cast<size_t>(TimeBucket(delta_t))];
   return tensor::Tanh(tensor::Add(

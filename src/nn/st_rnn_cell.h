@@ -30,9 +30,9 @@ class StRnnCell : public Module {
             float max_interval = 4.0f);
 
   /// One step; `delta_t` / `delta_d` are normalized intervals (the same
-  /// scale `poi::FeatureScale` produces). Under inference mode with fusion
-  /// enabled this runs `ForwardRows` into a pooled output; otherwise the
-  /// tensor-op body, which gives the same bits within one kernel table.
+  /// scale `poi::FeatureScale` produces). This is the graph (training) path,
+  /// built from tensor ops; `ForwardRows` is the inference path and gives
+  /// the same bits within one kernel table.
   tensor::Tensor Forward(const tensor::Tensor& x, const tensor::Tensor& h,
                          float delta_t, float delta_d) const;
 

@@ -150,9 +150,6 @@ class FpmcLrSession : public RecSession {
   }
 
   std::vector<int32_t> TopK(int k, int64_t) const override {
-    // Scoring is raw float arithmetic (no tensor ops), but the scope keeps
-    // the contract uniform: every recommender's TopK runs in inference mode.
-    const tensor::InferenceModeScope inference;
     std::vector<int32_t> candidates;
     if (has_last_) {
       candidates = rec_->Region(last_poi_);

@@ -1,6 +1,8 @@
 #include "rec/neural_recommender.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "nn/serialize.h"
 #include "rec/model_io.h"
@@ -176,82 +178,100 @@ void NeuralRecommender::Fit(const std::vector<poi::CheckinSequence>& train,
   }
 }
 
-/// Session: carries the recurrent state, detached after every step so the
-/// autograd graph does not grow across a user's timeline.
+void NeuralRecommender::StepRows(int poi, float delta_t, float delta_d,
+                                 const float* h_prev, const float* c_prev,
+                                 float* h_out, float* c_out) const {
+  const float* x = embedding_->table().data() +
+                   static_cast<int64_t>(poi) * embedding_->dim();
+  switch (config_.cell) {
+    case NeuralRecConfig::Cell::kRnn:
+      rnn_->ForwardRows(x, h_prev, h_out, 1);
+      break;
+    case NeuralRecConfig::Cell::kGru:
+      gru_->ForwardRows(x, h_prev, h_out, 1);
+      break;
+    case NeuralRecConfig::Cell::kStRnn:
+      st_rnn_->ForwardRows(x, h_prev, delta_t, delta_d, h_out, 1);
+      break;
+    case NeuralRecConfig::Cell::kLstm:
+      lstm_->ForwardRows(x, h_prev, c_prev, h_out, c_out, 1);
+      break;
+    case NeuralRecConfig::Cell::kStClstm:
+      st_clstm_->ForwardRows(x, h_prev, c_prev, delta_t, delta_d, h_out,
+                             c_out, 1);
+      break;
+  }
+}
+
+/// Session: owns its recurrent state as flat h and c rows (c stays zero for
+/// the RNN family) and steps them in place through the cell's explicit
+/// forward, reading the embedding row by pointer. No tensor, no graph and
+/// nothing allocated per check-in; the rows are bit for bit what the cell's
+/// graph `Forward` would give (tensor_fusion_test).
 class NeuralRecSession : public RecSession {
  public:
-  NeuralRecSession(const NeuralRecommender* rec)
-      : rec_(rec), state_(rec->InitialState()) {}
+  explicit NeuralRecSession(const NeuralRecommender* rec)
+      : rec_(rec),
+        h_(static_cast<size_t>(rec->config_.hidden_dim), 0.0f),
+        c_(h_.size(), 0.0f) {}
 
   void Observe(const poi::Checkin& c) override {
-    // Session forwards never backpropagate; skip graph construction.
-    const tensor::InferenceModeScope inference;
-    const NeuralRecConfig::Cell cell = rec_->config_.cell;
-    const nn::Embedding& embedding = *rec_->embedding_;
-    if (cell == NeuralRecConfig::Cell::kLstm &&
-        tensor::InferenceModeScope::Active() && tensor::fusion::Enabled() &&
-        c.poi >= 0 && c.poi < embedding.vocab_size()) {
-      // Step the session's own h/c in place, reading the embedding row by
-      // pointer: no gather, no tensor, nothing allocated per check-in. The
-      // session is the sole owner of its state tensors.
-      const float* x = embedding.table().data() +
-                       static_cast<int64_t>(c.poi) * embedding.dim();
-      rec_->lstm_->ForwardRows(x, state_.h.data(), state_.c.data(),
-                               state_.h.data(), state_.c.data(), 1);
-    } else {
-      // Only the spatio-temporal cells read the intervals.
-      float dt = 0.0f, dd = 0.0f;
-      if (has_last_ && (cell == NeuralRecConfig::Cell::kStRnn ||
-                        cell == NeuralRecConfig::Cell::kStClstm)) {
-        const double hours =
-            static_cast<double>(c.timestamp - last_.timestamp) / 3600.0;
-        dt = static_cast<float>(std::min(
-            hours / rec_->config_.feature_scale.hours_scale, 10.0));
-        const double km = rec_->pois_->DistanceKm(last_.poi, c.poi);
-        dd = static_cast<float>(
-            std::min(km / rec_->config_.feature_scale.km_scale, 10.0));
-      }
-      state_ = rec_->Step(state_, c.poi, dt, dd);
-      if (!tensor::InferenceModeScope::Active()) {
-        // Graph-building forward (the test override disables inference
-        // mode): detach so the graph does not grow across the user's
-        // timeline. The fast path has no graph to sever, so the copies
-        // would be pure waste.
-        state_.h = state_.h.Detach();
-        if (state_.c.defined()) state_.c = state_.c.Detach();
-      }
+    // Refuse an id outside the table before anything reads a row or a
+    // coordinate, so the state stays as it was.
+    const int num_pois = rec_->embedding_->vocab_size();
+    if (c.poi < 0 || c.poi >= num_pois) {
+      throw std::out_of_range(rec_->name() + ": POI " +
+                              std::to_string(c.poi) + " outside the table (" +
+                              std::to_string(num_pois) + " POIs)");
     }
+    // Only the spatio-temporal cells read the intervals.
+    const NeuralRecConfig::Cell cell = rec_->config_.cell;
+    float dt = 0.0f, dd = 0.0f;
+    if (has_last_ && (cell == NeuralRecConfig::Cell::kStRnn ||
+                      cell == NeuralRecConfig::Cell::kStClstm)) {
+      const double hours =
+          static_cast<double>(c.timestamp - last_.timestamp) / 3600.0;
+      dt = static_cast<float>(
+          std::min(hours / rec_->config_.feature_scale.hours_scale, 10.0));
+      const double km = rec_->pois_->DistanceKm(last_.poi, c.poi);
+      dd = static_cast<float>(
+          std::min(km / rec_->config_.feature_scale.km_scale, 10.0));
+    }
+    rec_->StepRows(c.poi, dt, dd, h_.data(), c_.data(), h_.data(), c_.data());
     last_ = c;
     has_last_ = true;
   }
 
   std::vector<int32_t> TopK(int k, int64_t next_timestamp) const override {
-    const tensor::InferenceModeScope inference;
-    Tensor hidden = state_.h;
+    const float* hidden = h_.data();
     // Time-aware ranking: ST-CLSTM advances a phantom step whose time gate
-    // sees the interval to the check-in being predicted.
+    // sees the interval to the check-in being predicted. It writes into a
+    // per-thread scratch [h ; c]; the session's own state does not move.
     if (rec_->config_.cell == NeuralRecConfig::Cell::kStClstm && has_last_) {
       const double hours =
           static_cast<double>(next_timestamp - last_.timestamp) / 3600.0;
       const float dt = static_cast<float>(std::min(
           std::max(hours, 0.0) / rec_->config_.feature_scale.hours_scale,
           10.0));
-      nn::LstmState phantom = rec_->Step(state_, last_.poi, dt, 0.0f);
-      hidden = phantom.h;
+      static thread_local std::vector<float> phantom;
+      phantom.resize(2 * h_.size());
+      rec_->StepRows(last_.poi, dt, 0.0f, h_.data(), c_.data(),
+                     phantom.data(), phantom.data() + h_.size());
+      hidden = phantom.data();
     }
     // Score into one reused per-thread row with the float projection
-    // (bitwise Linear::Forward) — no tensor node or pool traffic — then
-    // rank it in one scan.
+    // (bitwise Linear::Forward), then rank it in one scan.
     const nn::Linear& output = *rec_->output_;
     static thread_local std::vector<float> logits_row;
     logits_row.resize(static_cast<size_t>(output.out_dim()));
-    output.ForwardRow(hidden.data(), logits_row.data());
+    output.ForwardRow(hidden, logits_row.data());
     return SelectTopK(logits_row.data(), output.out_dim(), k);
   }
 
  private:
   const NeuralRecommender* rec_;
-  nn::LstmState state_;
+  std::vector<float> h_;
+  std::vector<float> c_;
   poi::Checkin last_;
   bool has_last_ = false;
 };

@@ -66,10 +66,17 @@ class NeuralRecommender : public Recommender {
  private:
   friend class NeuralRecSession;
 
-  /// Advances the recurrent state by one observed check-in.
+  /// Training step: advances the recurrent state by one observed check-in
+  /// through the cell's graph `Forward`.
   nn::LstmState Step(const nn::LstmState& state, int poi, float delta_t,
                      float delta_d) const;
   nn::LstmState InitialState() const;
+  /// Inference step over flat `[hidden_dim]` rows through the cell's
+  /// `ForwardRows`, reading `poi`'s embedding row by pointer (the caller
+  /// checks the id). The outputs may alias the inputs exactly; c is read
+  /// and written by the LSTM cells only.
+  void StepRows(int poi, float delta_t, float delta_d, const float* h_prev,
+                const float* c_prev, float* h_out, float* c_out) const;
 
   /// (Re)creates the embedding, cell and output modules for a POI universe
   /// of the given size — the structure both `Fit` and `Load` need.

@@ -1,7 +1,5 @@
 #include "rec/pa_seq2seq_recommender.h"
 
-#include "tensor/tensor.h"
-
 namespace pa::rec {
 
 PaSeq2SeqRecommender::PaSeq2SeqRecommender(augment::PaSeq2SeqConfig config)
@@ -23,9 +21,6 @@ class Session : public RecSession {
 
   std::vector<int32_t> TopK(int k, int64_t next_timestamp) const override {
     if (model_ == nullptr || history_.empty()) return {};
-    // RankNext scopes itself too; this outer scope exercises (and documents)
-    // that nesting is a supported no-op on the serving path.
-    const tensor::InferenceModeScope inference;
     return model_->RankNext(history_, next_timestamp, k);
   }
 

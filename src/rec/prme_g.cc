@@ -155,9 +155,6 @@ class PrmeGSession : public RecSession {
   }
 
   std::vector<int32_t> TopK(int k, int64_t next_timestamp) const override {
-    // Scoring is raw float arithmetic (no tensor ops), but the scope keeps
-    // the contract uniform: every recommender's TopK runs in inference mode.
-    const tensor::InferenceModeScope inference;
     const bool sequential =
         has_last_ &&
         static_cast<double>(next_timestamp - last_.timestamp) / 3600.0 <=

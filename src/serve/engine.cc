@@ -2,7 +2,6 @@
 
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "tensor/buffer_pool.h"
 
 namespace pa::serve {
 
@@ -138,10 +137,6 @@ TopKResponse Engine::TopKAt(const TopKRequest& request,
     response.pois = std::move(pois);
   }
   finish(now);
-  // The model forward above drew from this thread's buffer pool; publish
-  // the per-thread tallies (a handful of relaxed adds against cached
-  // registry handles — see BufferPool::FlushStatsToRegistry).
-  tensor::internal::ThisThreadPool().FlushStatsToRegistry();
   return response;
 }
 

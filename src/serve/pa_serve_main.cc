@@ -72,15 +72,22 @@
 //     a couple of check-ins, then ask for one top-k) through a fresh
 //     one-shard engine, and prints one NDJSON line with the full
 //     metric-registry snapshot —
-//     a self-contained health check covering serving, session-store,
-//     thread-pool and tensor-pool metrics. "probe_delta" carries only what
+//     a self-contained health check covering serving, session-store and
+//     thread-pool metrics. "probe_delta" carries only what
 //     the probe itself contributed (snapshot-before/after delta), so the
 //     probe is separable from whatever the process counted before it.
 //
 // Each subcommand accepts exactly the flags listed for it above; any other
 // flag exits 2 before any work ("pa_serve: unknown flag --x for publish"),
-// and so does a `serve` or `listen` value out of range: --shards outside
-// [1, 256] or --deadline-ms outside [0, 86400000].
+// and so does a numeric value out of range:
+//
+//   --users            [1, 1000000]       (publish)
+//   --pois             [1, 1000000]       (publish)
+//   --version          [1, 2147483647]    (activate, serve, listen, stats)
+//   --shards           [1, 256]           (serve, listen)
+//   --deadline-ms      [0, 86400000]      (serve, listen)
+//   --idle-timeout-ms  [0, 86400000]      (listen; 0 never times out)
+//   --probe            [1, 100000]        (stats)
 //
 // All long-lived subcommands honor PA_OBS_TIMESERIES=<path> (+ optional
 // PA_OBS_SAMPLE_PERIOD_MS): a background sampler appends one NDJSON
@@ -98,6 +105,7 @@
 #include <exception>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -135,6 +143,20 @@ using namespace pa;
                value.c_str());
   std::exit(2);
 }
+
+// Bounds of the numeric flags (listed in the header above). Each shard is
+// a thread, and 256 is far past any core count this serves on; a day
+// bounds the deadline, so enqueue + deadline cannot overflow the clock's
+// nanosecond count, and the idle timeout alike. The publish sizes and the
+// probe are far past any snapshot this trains or probes, and each fits the
+// `int` it is narrowed to, as does a version.
+constexpr long kMaxUsers = 1'000'000;
+constexpr long kMaxPois = 1'000'000;
+constexpr long kMaxVersion = std::numeric_limits<int>::max();
+constexpr long kMaxShards = 256;
+constexpr long kMaxDeadlineMs = 86'400'000;
+constexpr long kMaxIdleTimeoutMs = 86'400'000;
+constexpr long kMaxProbeUsers = 100'000;
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -213,6 +235,10 @@ int Usage() {
 int CmdPublish(const Flags& flags) {
   const std::string method = flags.Get("method", "LSTM");
   const std::string csv = flags.Get("csv");
+  const int num_users =
+      static_cast<int>(flags.GetIntInRange("users", 32, 1, kMaxUsers));
+  const int num_pois =
+      static_cast<int>(flags.GetIntInRange("pois", 500, 1, kMaxPois));
 
   poi::Dataset dataset;
   if (!csv.empty()) {
@@ -226,8 +252,8 @@ int CmdPublish(const Flags& flags) {
     poi::LbsnProfile profile = flags.Get("profile", "gowalla") == "brightkite"
                                    ? poi::BrightkiteProfile()
                                    : poi::GowallaProfile();
-    profile.num_users = static_cast<int>(flags.GetInt("users", 32));
-    profile.num_pois = static_cast<int>(flags.GetInt("pois", 500));
+    profile.num_users = num_users;
+    profile.num_pois = num_pois;
     util::Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
     dataset = poi::GenerateLbsn(profile, rng).observed;
   }
@@ -279,11 +305,17 @@ int CmdList(const Flags& flags) {
   return 0;
 }
 
+/// --version when given (refused outside [1, kMaxVersion]), else -1.
+int VersionFlag(const Flags& flags) {
+  if (!flags.values.count("version")) return -1;
+  return static_cast<int>(flags.GetIntInRange("version", -1, 1, kMaxVersion));
+}
+
 int CmdActivate(const Flags& flags) {
+  const int version = VersionFlag(flags);
   serve::ModelStore store(flags.Get("store", "model_store"));
   std::string error;
-  if (!store.SetActive(flags.Get("model"),
-                       static_cast<int>(flags.GetInt("version", -1)), &error)) {
+  if (!store.SetActive(flags.Get("model"), version, &error)) {
     std::fprintf(stderr, "pa_serve: %s\n", error.c_str());
     return 1;
   }
@@ -296,12 +328,12 @@ void Reply(const std::string& json) {
   std::fflush(stdout);  // A line-oriented peer must see the line now.
 }
 
-/// Loads the model named by --model/--version (active version when no
-/// --version). Returns nullptr after printing a diagnostic.
+/// Loads the model named by --model at `version` (the VersionFlag value;
+/// the active version when it is -1). Returns nullptr after printing a
+/// diagnostic.
 std::shared_ptr<const serve::LoadedModel> LoadServingModel(
-    const serve::ModelStore& store, const Flags& flags) {
+    const serve::ModelStore& store, const Flags& flags, int version) {
   const std::string name = flags.Get("model", "LSTM");
-  const int version = static_cast<int>(flags.GetInt("version", -1));
   serve::LoadedModel loaded;
   std::string error;
   const bool ok = version > 0 ? store.Load(name, version, &loaded, &error)
@@ -313,12 +345,6 @@ std::shared_ptr<const serve::LoadedModel> LoadServingModel(
   }
   return std::make_shared<const serve::LoadedModel>(std::move(loaded));
 }
-
-// Each shard is a thread, and 256 is far past any core count this serves
-// on; a day bounds the deadline, so enqueue + deadline cannot overflow the
-// clock's nanosecond count.
-constexpr long kMaxShards = 256;
-constexpr long kMaxDeadlineMs = 86'400'000;
 
 net::ShardedEngineConfig ShardConfigFromFlags(const Flags& flags) {
   net::ShardedEngineConfig config;
@@ -361,9 +387,10 @@ using Transport = std::function<int(net::ShardedEngine& engine,
 /// and holds the serve.model health entry while the transport runs.
 int RunServing(const Flags& flags, const Transport& transport) {
   const net::ShardedEngineConfig config = ShardConfigFromFlags(flags);
+  const int version = VersionFlag(flags);
   serve::ModelStore store(flags.Get("store", "model_store"));
   std::shared_ptr<const serve::LoadedModel> loaded =
-      LoadServingModel(store, flags);
+      LoadServingModel(store, flags, version);
   if (!loaded) return 1;
 
   net::ShardedEngine engine(loaded, config);
@@ -423,9 +450,12 @@ void HandleListenSignal(int) {
 }
 
 int CmdListen(const Flags& flags) {
-  return RunServing(flags, [&flags](net::ShardedEngine& engine,
-                                    net::NdjsonDispatcher::Options options,
-                                    int num_pois) {
+  const int idle_timeout_ms = static_cast<int>(
+      flags.GetIntInRange("idle-timeout-ms", 60'000, 0, kMaxIdleTimeoutMs));
+  return RunServing(flags, [&flags, idle_timeout_ms](
+                               net::ShardedEngine& engine,
+                               net::NdjsonDispatcher::Options options,
+                               int num_pois) {
     net::NdjsonServer server;
     options.on_quit = [&server] { server.RequestShutdown(); };
     net::NdjsonDispatcher dispatcher(&engine, std::move(options));
@@ -437,8 +467,7 @@ int CmdListen(const Flags& flags) {
       return 1;
     }
     server_config.port = static_cast<uint16_t>(port);
-    server_config.idle_timeout_ms =
-        static_cast<int>(flags.GetInt("idle-timeout-ms", 60'000));
+    server_config.idle_timeout_ms = idle_timeout_ms;
 
     std::string error;
     if (!server.Start(server_config,
@@ -531,9 +560,12 @@ int CmdSlowz(const Flags& flags) {
 }
 
 int CmdStats(const Flags& flags) {
+  const int probe_users =
+      static_cast<int>(flags.GetIntInRange("probe", 4, 1, kMaxProbeUsers));
+  const int version = VersionFlag(flags);
   serve::ModelStore store(flags.Get("store", "model_store"));
   std::shared_ptr<const serve::LoadedModel> loaded =
-      LoadServingModel(store, flags);
+      LoadServingModel(store, flags, version);
   if (!loaded) return 1;
 
   const int num_pois = loaded->pois->size();
@@ -545,16 +577,14 @@ int CmdStats(const Flags& flags) {
   util::GlobalPool();
 
   // Drive a tiny deterministic probe workload so every serving-side
-  // instrument (request counters, latency histogram, session gauges,
-  // tensor-pool stats) reflects real traffic rather than printing an
+  // instrument (request counters, latency histogram, session gauges)
+  // reflects real traffic rather than printing an
   // all-zero snapshot. The before-snapshot separates the probe's own
   // contribution from pre-existing counts (a warm registry, ...):
   // "registry" is the absolute after-state, "probe_delta" is just the
   // probe.
   const obs::MetricRegistry::Snapshot before =
       obs::MetricRegistry::Global().TakeSnapshot();
-  const int probe_users =
-      static_cast<int>(std::max(1L, flags.GetInt("probe", 4)));
   for (int user = 0; user < probe_users; ++user) {
     for (int step = 0; step < 2; ++step) {
       poi::Checkin checkin;

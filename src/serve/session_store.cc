@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "tensor/tensor.h"
 
 namespace pa::serve {
 
@@ -47,9 +46,6 @@ SessionStore::User& SessionStore::Lookup(int32_t user) {
 }
 
 void SessionStore::Observe(const poi::Checkin& checkin) {
-  // Serving never backpropagates: every model forward here, the rebuild
-  // replay included, runs on the tensor engine's graph-free fast path.
-  const tensor::InferenceModeScope inference;
   User& entry = Lookup(checkin.user);
   // The live session and the stored history see the same sequence, so a
   // rebuild after eviction replays exactly what the evicted session saw.
@@ -61,7 +57,6 @@ void SessionStore::Observe(const poi::Checkin& checkin) {
 
 std::vector<int32_t> SessionStore::TopK(int32_t user, int k,
                                         int64_t next_timestamp) {
-  const tensor::InferenceModeScope inference;
   return Lookup(user).session->TopK(k, next_timestamp);
 }
 

@@ -125,10 +125,7 @@ struct BinaryKernels {
 };
 
 // Forward of the elementwise binary ops, specialised per broadcast kind on
-// top of the dispatched kernels. The kernel contract allows `out` to alias
-// `a` or `b` exactly (read-before-write at the same index), which is how
-// the rvalue-overload in-place path below reuses this single entry point;
-// values are bit-identical to the allocating path either way.
+// top of the dispatched kernels.
 void BinaryForward(const float* a, const float* b, float* out, int64_t numel,
                    int cols, BroadcastKind kind, const BinaryKernels& bk) {
   switch (kind) {
@@ -148,42 +145,15 @@ void BinaryForward(const float* a, const float* b, float* out, int64_t numel,
   }
 }
 
-// Whether an op bound through an rvalue overload may overwrite `t`'s
-// storage in place and return `t`'s node as its result. Requires inference
-// mode (graph mode must record the parent's values for backward), that the
-// caller's reference is the impl's only owner — i.e. the argument really is
-// a dying temporary, not a moved-from named tensor someone still shares —
-// and that no autograd state is attached. The overwrite is elementwise
-// read-then-write at the same index, so the result is bit-identical to the
-// allocating path; only the allocation round trip disappears.
-bool ReusableTemp(const Tensor& t, bool inference) {
-  const std::shared_ptr<TensorImpl>& impl = t.impl();
-  return inference && impl.use_count() == 1 && !impl->requires_grad &&
-         impl->backward_fn == nullptr;
-}
-
 Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b,
-                bool reuse_a, bool reuse_b, const BinaryKernels& bk,
+                const BinaryKernels& bk,
                 std::function<void(TensorImpl&)> (*make_backward)(
                     std::shared_ptr<TensorImpl>, std::shared_ptr<TensorImpl>,
                     BroadcastKind, int)) {
   const BroadcastKind kind = CheckBroadcast(a, b, name);
   const int cols = a.cols();
   const int64_t numel = a.numel();
-  const bool inference = internal::InferenceModeActive();
-  if (inference) {
-    if (reuse_a && ReusableTemp(a, true)) {
-      BinaryForward(a.data(), b.data(), a.impl()->data.data(), numel, cols,
-                    kind, bk);
-      return Tensor::FromImpl(a.impl());
-    }
-    if (reuse_b && kind == BroadcastKind::kSame && ReusableTemp(b, true)) {
-      // Output aliases `b` (kSame only — the result has `a`'s shape, which
-      // matches `b`'s only under kSame).
-      BinaryForward(a.data(), b.data(), b.impl()->data.data(), numel, cols,
-                    kind, bk);
-      return Tensor::FromImpl(b.impl());
-    }
+  if (internal::InferenceModeActive()) {
     std::vector<float> out = ForwardBuffer(numel, true);
     BinaryForward(a.data(), b.data(), out.data(), numel, cols, kind, bk);
     return MakeInferenceResult(a.shape(), std::move(out));
@@ -239,34 +209,17 @@ BinaryKernels MulKernels() {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Add", a, b, false, false, AddKernels(), AddBackward);
-}
-
-Tensor Add(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Add", a, b, true, false, AddKernels(), AddBackward);
-}
-
-Tensor Add(const Tensor& a, Tensor&& b) {
-  return BinaryOp("Add", a, b, false, true, AddKernels(), AddBackward);
-}
-
-Tensor Add(Tensor&& a, Tensor&& b) {
-  return BinaryOp("Add", a, b, true, true, AddKernels(), AddBackward);
+  return BinaryOp("Add", a, b, AddKernels(), AddBackward);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Sub", a, b, false, false, SubKernels(), SubBackward);
-}
-
-Tensor Sub(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Sub", a, b, true, false, SubKernels(), SubBackward);
+  return BinaryOp("Sub", a, b, SubKernels(), SubBackward);
 }
 
 namespace {
 
-// Mul's backward reads the *parents'* forward values, which is why in-place
-// reuse is restricted to inference mode: under a graph, a parent's buffer
-// must survive untouched until Backward().
+// Mul's backward reads the *parents'* forward values, so under a graph a
+// parent's buffer must survive untouched until Backward().
 std::function<void(TensorImpl&)> MulBackward(std::shared_ptr<TensorImpl> ai,
                                              std::shared_ptr<TensorImpl> bi,
                                              BroadcastKind kind, int cols) {
@@ -286,19 +239,7 @@ std::function<void(TensorImpl&)> MulBackward(std::shared_ptr<TensorImpl> ai,
 }  // namespace
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Mul", a, b, false, false, MulKernels(), MulBackward);
-}
-
-Tensor Mul(Tensor&& a, const Tensor& b) {
-  return BinaryOp("Mul", a, b, true, false, MulKernels(), MulBackward);
-}
-
-Tensor Mul(const Tensor& a, Tensor&& b) {
-  return BinaryOp("Mul", a, b, false, true, MulKernels(), MulBackward);
-}
-
-Tensor Mul(Tensor&& a, Tensor&& b) {
-  return BinaryOp("Mul", a, b, true, true, MulKernels(), MulBackward);
+  return BinaryOp("Mul", a, b, MulKernels(), MulBackward);
 }
 
 namespace {
@@ -316,21 +257,13 @@ void CheckSameShape3(const char* name, const Tensor& x, const Tensor& y,
   }
 }
 
-Tensor LerpOp(const Tensor& mask, const Tensor& a, const Tensor& b,
-              bool reuse_a, bool reuse_b) {
+}  // namespace
+
+Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b) {
   CheckSameShape3("Lerp", mask, a, b);
   const int64_t numel = a.numel();
-  const bool inference = internal::InferenceModeActive();
   const kernels::KernelTable& kt = kernels::Active();
-  if (inference) {
-    if (reuse_a && ReusableTemp(a, true)) {
-      kt.lerp(mask.data(), a.data(), b.data(), a.impl()->data.data(), numel);
-      return Tensor::FromImpl(a.impl());
-    }
-    if (reuse_b && ReusableTemp(b, true)) {
-      kt.lerp(mask.data(), a.data(), b.data(), b.impl()->data.data(), numel);
-      return Tensor::FromImpl(b.impl());
-    }
+  if (internal::InferenceModeActive()) {
     std::vector<float> out = ForwardBuffer(numel, true);
     kt.lerp(mask.data(), a.data(), b.data(), out.data(), numel);
     return MakeInferenceResult(a.shape(), std::move(out));
@@ -352,18 +285,6 @@ Tensor LerpOp(const Tensor& mask, const Tensor& a, const Tensor& b,
                         return y.grad[i] * (ai->data[i] - bi->data[i]);
                       });
                     });
-}
-
-}  // namespace
-
-Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b) {
-  return LerpOp(mask, a, b, false, false);
-}
-Tensor Lerp(const Tensor& mask, Tensor&& a, const Tensor& b) {
-  return LerpOp(mask, a, b, true, false);
-}
-Tensor Lerp(const Tensor& mask, const Tensor& a, Tensor&& b) {
-  return LerpOp(mask, a, b, false, true);
 }
 
 // The whole product runs on the calling thread: parallelism lives at coarser
@@ -436,20 +357,13 @@ namespace {
 
 // Shared implementation for elementwise unary ops whose derivative is a
 // function of the *output* value (sigmoid, tanh, exp) or *input* value.
-// The forward loop is a dispatched kernel; `reuse` (set by the rvalue
-// overloads) lets inference mode overwrite a dying temporary in place via
-// the kernels' exact-aliasing contract — see ReusableTemp.
+// The forward loop is a dispatched kernel.
 template <typename BwdFn>
-Tensor UnaryKernelOp(const Tensor& a, bool reuse,
+Tensor UnaryKernelOp(const Tensor& a,
                      void (*kernel)(const float*, float*, int64_t),
                      BwdFn bwd_from_in_out) {
   const int64_t numel = a.numel();
   const bool inference = internal::InferenceModeActive();
-  if (reuse && ReusableTemp(a, inference)) {
-    float* d = a.impl()->data.data();
-    kernel(d, d, numel);
-    return Tensor::FromImpl(a.impl());
-  }
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), out.data(), numel);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
@@ -466,17 +380,12 @@ Tensor UnaryKernelOp(const Tensor& a, bool reuse,
 // Same shape for the scalar-parameter ops (Scale, AddScalar), which reuse
 // the binary tables' broadcast-scalar kernels.
 template <typename BwdFn>
-Tensor UnaryScalarKernelOp(const Tensor& a, float c, bool reuse,
+Tensor UnaryScalarKernelOp(const Tensor& a, float c,
                            void (*kernel)(const float*, float, float*,
                                           int64_t),
                            BwdFn bwd_from_in_out) {
   const int64_t numel = a.numel();
   const bool inference = internal::InferenceModeActive();
-  if (reuse && ReusableTemp(a, inference)) {
-    float* d = a.impl()->data.data();
-    kernel(d, c, d, numel);
-    return Tensor::FromImpl(a.impl());
-  }
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), c, out.data(), numel);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
@@ -490,99 +399,56 @@ Tensor UnaryScalarKernelOp(const Tensor& a, float c, bool reuse,
                     });
 }
 
-Tensor SigmoidOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, reuse, kernels::Active().sigmoid,
+}  // namespace
+
+Tensor Sigmoid(const Tensor& a) {
+  return UnaryKernelOp(a, kernels::Active().sigmoid,
                        [](float /*x*/, float y) { return y * (1.0f - y); });
 }
 
-Tensor TanhOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, reuse, kernels::Active().tanh,
+Tensor Tanh(const Tensor& a) {
+  return UnaryKernelOp(a, kernels::Active().tanh,
                        [](float /*x*/, float y) { return 1.0f - y * y; });
 }
 
-Tensor ReluOp(const Tensor& a, bool reuse) {
+Tensor Relu(const Tensor& a) {
   return UnaryKernelOp(
-      a, reuse, kernels::Active().relu,
+      a, kernels::Active().relu,
       [](float x, float /*y*/) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
-}  // namespace
-
-Tensor Sigmoid(const Tensor& a) { return SigmoidOp(a, false); }
-Tensor Sigmoid(Tensor&& a) { return SigmoidOp(a, true); }
-
-Tensor Tanh(const Tensor& a) { return TanhOp(a, false); }
-Tensor Tanh(Tensor&& a) { return TanhOp(a, true); }
-
-Tensor Relu(const Tensor& a) { return ReluOp(a, false); }
-Tensor Relu(Tensor&& a) { return ReluOp(a, true); }
-
-namespace {
-
-Tensor ScaleOp(const Tensor& a, float alpha, bool reuse) {
+Tensor Scale(const Tensor& a, float alpha) {
   return UnaryScalarKernelOp(
-      a, alpha, reuse, kernels::Active().mulc,
+      a, alpha, kernels::Active().mulc,
       [alpha](float /*x*/, float /*y*/) { return alpha; });
 }
 
-Tensor AddScalarOp(const Tensor& a, float alpha, bool reuse) {
-  return UnaryScalarKernelOp(a, alpha, reuse, kernels::Active().addc,
+Tensor AddScalar(const Tensor& a, float alpha) {
+  return UnaryScalarKernelOp(a, alpha, kernels::Active().addc,
                              [](float /*x*/, float /*y*/) { return 1.0f; });
 }
 
-}  // namespace
-
-Tensor Scale(const Tensor& a, float alpha) { return ScaleOp(a, alpha, false); }
-Tensor Scale(Tensor&& a, float alpha) { return ScaleOp(a, alpha, true); }
-
-Tensor AddScalar(const Tensor& a, float alpha) {
-  return AddScalarOp(a, alpha, false);
-}
-Tensor AddScalar(Tensor&& a, float alpha) {
-  return AddScalarOp(a, alpha, true);
-}
-
-namespace {
-
-Tensor ExpOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, reuse, kernels::Active().exp,
+Tensor Exp(const Tensor& a) {
+  return UnaryKernelOp(a, kernels::Active().exp,
                        [](float /*x*/, float y) { return y; });
 }
 
-Tensor LogOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, reuse, kernels::Active().log,
+Tensor Log(const Tensor& a) {
+  return UnaryKernelOp(a, kernels::Active().log,
                        [](float x, float /*y*/) { return 1.0f / x; });
 }
 
-Tensor SquareOp(const Tensor& a, bool reuse) {
-  return UnaryKernelOp(a, reuse, kernels::Active().square,
+Tensor Square(const Tensor& a) {
+  return UnaryKernelOp(a, kernels::Active().square,
                        [](float x, float /*y*/) { return 2.0f * x; });
 }
 
-}  // namespace
-
-Tensor Exp(const Tensor& a) { return ExpOp(a, false); }
-Tensor Exp(Tensor&& a) { return ExpOp(a, true); }
-
-Tensor Log(const Tensor& a) { return LogOp(a, false); }
-Tensor Log(Tensor&& a) { return LogOp(a, true); }
-
-Tensor Square(const Tensor& a) { return SquareOp(a, false); }
-Tensor Square(Tensor&& a) { return SquareOp(a, true); }
-
-namespace {
-
-Tensor SoftmaxOp(const Tensor& a, bool reuse) {
+Tensor Softmax(const Tensor& a) {
   const int m = a.rows(), n = a.cols();
   const bool inference = internal::InferenceModeActive();
   const kernels::KernelTable& kt = kernels::Active();
   // The kernel's n <= 0 guard makes a zero-width input a no-op instead of
   // the old out-of-bounds row[0] read.
-  if (reuse && ReusableTemp(a, inference)) {
-    float* d = a.impl()->data.data();
-    kt.softmax(d, d, m, n);
-    return Tensor::FromImpl(a.impl());
-  }
   std::vector<float> out = ForwardBuffer(a.numel(), inference);
   kt.softmax(a.data(), out.data(), m, n);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
@@ -602,17 +468,10 @@ Tensor SoftmaxOp(const Tensor& a, bool reuse) {
   });
 }
 
-Tensor LogSoftmaxOp(const Tensor& a, bool reuse) {
+Tensor LogSoftmax(const Tensor& a) {
   const int m = a.rows(), n = a.cols();
   const bool inference = internal::InferenceModeActive();
   const kernels::KernelTable& kt = kernels::Active();
-  if (reuse && ReusableTemp(a, inference)) {
-    // The log_softmax kernel stages its exp pass through a private chunk,
-    // so exact out==a aliasing is safe here too.
-    float* d = a.impl()->data.data();
-    kt.log_softmax(d, d, m, n);
-    return Tensor::FromImpl(a.impl());
-  }
   std::vector<float> out = ForwardBuffer(a.numel(), inference);
   kt.log_softmax(a.data(), out.data(), m, n);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
@@ -631,14 +490,6 @@ Tensor LogSoftmaxOp(const Tensor& a, bool reuse) {
     }
   });
 }
-
-}  // namespace
-
-Tensor Softmax(const Tensor& a) { return SoftmaxOp(a, false); }
-Tensor Softmax(Tensor&& a) { return SoftmaxOp(a, true); }
-
-Tensor LogSoftmax(const Tensor& a) { return LogSoftmaxOp(a, false); }
-Tensor LogSoftmax(Tensor&& a) { return LogSoftmaxOp(a, true); }
 
 Tensor NllLoss(const Tensor& log_probs, const std::vector<int>& targets) {
   const int m = log_probs.rows(), n = log_probs.cols();
@@ -881,13 +732,5 @@ Tensor SumRows(const Tensor& a) {
     }
   });
 }
-
-namespace detail {
-
-Tensor MakeInferencePooled(Shape shape) {
-  return MakeInferenceResult(shape, ForwardBuffer(shape.numel(), true));
-}
-
-}  // namespace detail
 
 }  // namespace pa::tensor

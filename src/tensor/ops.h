@@ -26,24 +26,6 @@ Tensor Scale(const Tensor& a, float alpha);
 /// a + alpha elementwise.
 Tensor AddScalar(const Tensor& a, float alpha);
 
-/// Rvalue overloads of the elementwise hot-path ops. When an argument is a
-/// dying temporary (`Sigmoid(SliceCols(...))`, `Add(MatMul(...), MatMul(...))`
-/// — the pattern every recurrent cell is built from), inference mode
-/// overwrites that temporary's storage in place and returns its node,
-/// skipping the output allocation round trip entirely. Results are
-/// bit-identical to the const& forms; under a graph (training) these defer
-/// to the allocating path, so autograd semantics are unchanged. Only bind
-/// via std::move if the moved-from tensor is never read again.
-Tensor Add(Tensor&& a, const Tensor& b);
-Tensor Add(const Tensor& a, Tensor&& b);
-Tensor Add(Tensor&& a, Tensor&& b);
-Tensor Sub(Tensor&& a, const Tensor& b);
-Tensor Mul(Tensor&& a, const Tensor& b);
-Tensor Mul(const Tensor& a, Tensor&& b);
-Tensor Mul(Tensor&& a, Tensor&& b);
-Tensor Scale(Tensor&& a, float alpha);
-Tensor AddScalar(Tensor&& a, float alpha);
-
 /// Fused convex blend: `a*mask + b*(1 - mask)` elementwise, all three the
 /// same shape (no broadcasting). Bit-identical to
 /// `Add(Mul(a, mask), Mul(b, AddScalar(Scale(mask, -1), 1)))` — negation is
@@ -51,40 +33,26 @@ Tensor AddScalar(Tensor&& a, float alpha);
 /// temporaries. Differentiable in all three arguments
 /// (da = mask·dy, db = (1-mask)·dy, dmask = (a-b)·dy).
 Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b);
-/// Rvalue forms: overwrite the dying operand's storage under inference
-/// mode (the blend target is usually the previous state being replaced).
-Tensor Lerp(const Tensor& mask, Tensor&& a, const Tensor& b);
-Tensor Lerp(const Tensor& mask, const Tensor& a, Tensor&& b);
 
 /// Matrix product of `[m, k]` and `[k, n]`.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Matrix transpose.
 Tensor Transpose(const Tensor& a);
 
-/// Elementwise nonlinearities. The rvalue overloads recycle a dying
-/// temporary in place under inference mode (see the binary-op note above).
+/// Elementwise nonlinearities.
 Tensor Sigmoid(const Tensor& a);
-Tensor Sigmoid(Tensor&& a);
 Tensor Tanh(const Tensor& a);
-Tensor Tanh(Tensor&& a);
 Tensor Relu(const Tensor& a);
-Tensor Relu(Tensor&& a);
 Tensor Exp(const Tensor& a);
-Tensor Exp(Tensor&& a);
 /// Natural log; input values must be strictly positive.
 Tensor Log(const Tensor& a);
-Tensor Log(Tensor&& a);
 /// Elementwise square.
 Tensor Square(const Tensor& a);
-Tensor Square(Tensor&& a);
 
 /// Row-wise softmax / log-softmax over the column dimension. Zero-width
-/// inputs (`[m, 0]`) are well-defined no-ops. The rvalue overloads recycle
-/// a dying temporary in place under inference mode.
+/// inputs (`[m, 0]`) are well-defined no-ops.
 Tensor Softmax(const Tensor& a);
-Tensor Softmax(Tensor&& a);
 Tensor LogSoftmax(const Tensor& a);
-Tensor LogSoftmax(Tensor&& a);
 
 /// Mean negative log likelihood. `log_probs` is `[batch, classes]` of
 /// log-probabilities (e.g. from LogSoftmax); `targets[i]` is the class index
@@ -112,17 +80,6 @@ Tensor Sum(const Tensor& a);
 Tensor Mean(const Tensor& a);
 /// Per-row sum: `[m, n]` -> `[m, 1]`.
 Tensor SumRows(const Tensor& a);
-
-namespace detail {
-
-/// A new inference-mode tensor node over pool-acquired storage (pooled, no
-/// grad, recycled like any fast-path result) whose contents are
-/// unspecified. An internal hook for the recurrent cells' explicit forwards
-/// (`ForwardRows` in src/nn), which write their outputs straight into it;
-/// not for general use, since it bypasses the autograd layer entirely.
-Tensor MakeInferencePooled(Shape shape);
-
-}  // namespace detail
 
 }  // namespace pa::tensor
 

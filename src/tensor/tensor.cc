@@ -1,11 +1,9 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -29,23 +27,6 @@ namespace {
 // Inference-mode nesting depth for this thread (see InferenceModeScope).
 thread_local int t_inference_depth = 0;
 
-// Test-only process-wide override; relaxed is enough because it is flipped
-// only while no worker thread is mid-forward (see ScopedInferenceDisable).
-std::atomic<bool> g_inference_disabled{false};
-
-// ScopedFusionDisable nesting depth for this thread.
-thread_local int t_fusion_disable_depth = 0;
-
-bool FusionEnvEnabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("PA_FUSION");
-    if (v == nullptr) return true;
-    return std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0 &&
-           std::strcmp(v, "false") != 0;
-  }();
-  return on;
-}
-
 }  // namespace
 
 namespace internal {
@@ -54,18 +35,7 @@ TensorImpl::~TensorImpl() {
   if (pooled) ReleaseToThreadPool(std::move(data));
 }
 
-bool InferenceModeActive() {
-  return t_inference_depth > 0 &&
-         !g_inference_disabled.load(std::memory_order_relaxed);
-}
-
-ScopedInferenceDisable::ScopedInferenceDisable() {
-  g_inference_disabled.store(true, std::memory_order_relaxed);
-}
-
-ScopedInferenceDisable::~ScopedInferenceDisable() {
-  g_inference_disabled.store(false, std::memory_order_relaxed);
-}
+bool InferenceModeActive() { return t_inference_depth > 0; }
 
 }  // namespace internal
 
@@ -74,16 +44,6 @@ InferenceModeScope::InferenceModeScope() { ++t_inference_depth; }
 InferenceModeScope::~InferenceModeScope() { --t_inference_depth; }
 
 bool InferenceModeScope::Active() { return internal::InferenceModeActive(); }
-
-namespace fusion {
-
-bool Enabled() { return t_fusion_disable_depth == 0 && FusionEnvEnabled(); }
-
-ScopedFusionDisable::ScopedFusionDisable() { ++t_fusion_disable_depth; }
-
-ScopedFusionDisable::~ScopedFusionDisable() { --t_fusion_disable_depth; }
-
-}  // namespace fusion
 
 void Tensor::DieUndefined(const char* accessor) {
   Fatal(std::string("Tensor::") + accessor +

@@ -71,50 +71,11 @@ std::vector<float>& GradBuffer(TensorImpl& impl);
 /// Aborts when no Backward is running on this thread.
 const float* TransposedData(const TensorImpl& impl);
 
-/// True while the calling thread is inside at least one `InferenceModeScope`
-/// (and the process-wide test override below is not engaged). Ops consult
-/// this once per call to pick the graph-free path.
+/// True while the calling thread is inside at least one `InferenceModeScope`.
+/// Ops consult this once per call to pick the graph-free path.
 bool InferenceModeActive();
 
-/// Test/bench-only: while alive, `InferenceModeActive()` reports false on
-/// every thread even inside an `InferenceModeScope`. This is the reference
-/// hook the equivalence tests and benchmarks use to re-run a wired-up
-/// inference path (e.g. EvaluateHr, which scopes its own workers) with full
-/// graph construction for bit-comparison. Process-wide and not meant to be
-/// toggled while worker threads are mid-forward; production code must never
-/// use it.
-class ScopedInferenceDisable {
- public:
-  ScopedInferenceDisable();
-  ~ScopedInferenceDisable();
-  ScopedInferenceDisable(const ScopedInferenceDisable&) = delete;
-  ScopedInferenceDisable& operator=(const ScopedInferenceDisable&) = delete;
-};
-
 }  // namespace internal
-
-namespace fusion {
-
-/// True when the recurrent cells may take their explicit fused forwards
-/// (`ForwardRows`) on this thread: PA_FUSION is not "off"/"0"/"false" (read
-/// once per process; default on) and no ScopedFusionDisable is alive on
-/// this thread. When false, the cells run their tensor-op bodies, which
-/// give the same bits within one kernel table.
-bool Enabled();
-
-/// Test/bench hook: while alive, every cell on this thread runs its
-/// tensor-op body. This is how the equivalence suites and the bench's
-/// unfused arms re-run the reference path in a process whose PA_FUSION
-/// default is on. Scopes nest.
-class ScopedFusionDisable {
- public:
-  ScopedFusionDisable();
-  ~ScopedFusionDisable();
-  ScopedFusionDisable(const ScopedFusionDisable&) = delete;
-  ScopedFusionDisable& operator=(const ScopedFusionDisable&) = delete;
-};
-
-}  // namespace fusion
 
 /// Value-semantic handle to a node in a dynamically built autograd graph.
 ///
@@ -229,6 +190,11 @@ class Tensor {
 ///    strictly per-thread: pool worker threads must enter their own scope.
 ///  - Pooled tensors may outlive the scope; their storage returns to the
 ///    pool of whichever thread drops the last reference.
+///
+/// No production path enters a scope: every inference path steps explicit
+/// row forwards (`ForwardRows`, `ForwardRow`, `DecodeRows`) over flat
+/// buffers. The scope stays for the repository benchmark's layer replays,
+/// which still time tensor-op forwards under it.
 class InferenceModeScope {
  public:
   InferenceModeScope();

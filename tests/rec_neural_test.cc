@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,36 @@ TEST_P(NeuralRecommenderParamTest, TopKOrderingContainsNoDuplicates) {
   EXPECT_EQ(top.size(), 8u);
   std::set<int32_t> unique(top.begin(), top.end());
   EXPECT_EQ(unique.size(), top.size());
+}
+
+// A POI outside the table is refused with a typed error before anything
+// reads a row or a coordinate, as the first check-in and after one, and
+// leaves the session as it was: its ranking afterwards equals that of a
+// session that never saw the bad id.
+TEST_P(NeuralRecommenderParamTest, ObserveRefusesPoiOutsideTable) {
+  poi::PoiTable pois = SmallPois();
+  NeuralRecommender model(FastConfig(GetParam()));
+  model.Fit(CycleData(2, 30), pois);
+  const poi::Checkin first{0, 1, 0, false};
+  const poi::Checkin second{0, 2, 3 * kHour, false};
+  const int64_t next_ts = 6 * kHour;
+  for (int32_t bad : {-1, pois.size()}) {
+    for (bool after_first : {false, true}) {
+      auto clean = model.NewSession(0);
+      auto session = model.NewSession(0);
+      if (after_first) {
+        clean->Observe(first);
+        session->Observe(first);
+      }
+      EXPECT_THROW(session->Observe({0, bad, kHour, false}), std::out_of_range)
+          << "poi " << bad << (after_first ? " after a check-in" : " first");
+      EXPECT_EQ(session->TopK(8, next_ts), clean->TopK(8, next_ts));
+      clean->Observe(second);
+      session->Observe(second);
+      EXPECT_EQ(session->TopK(8, next_ts), clean->TopK(8, next_ts))
+          << "poi " << bad << (after_first ? " after a check-in" : " first");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

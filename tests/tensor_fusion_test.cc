@@ -9,16 +9,12 @@
 //     that same table's primitive kernels it replaces (gate_act/tanh_mul
 //     call the table's own SigmoidK/TanhK, so this holds even for the
 //     expf-based entries).
-//   * Each cell's explicit forward, at any batch size, is bit-identical to
-//     running the same cell's tensor-op body on the graph-free path
-//     (ScopedFusionDisable) and to the graph-building path
-//     (ScopedInferenceDisable), serial and with PA_THREADS > 1; so is a
-//     `ForwardRows` rollout whose outputs alias its state inputs, and a
-//     served session of every cell.
-//
-// The suite must also pass under PA_FUSION=off (tier1.sh reruns it that
-// way): the fused arm then runs the tensor-op body too, so every parity
-// check still holds.
+//   * Each cell's explicit forward (the inference path), at batch 1 and 3,
+//     stepping one h/c pair in place the way a session steps its state, is
+//     bit-identical to the cell's graph `Forward` (the training path),
+//     serial and with PA_THREADS > 1; so is a served session of every cell
+//     against a graph rollout over modules restored from its model's
+//     payload.
 
 #include <cstdint>
 #include <cstring>
@@ -28,13 +24,13 @@
 
 #include <gtest/gtest.h>
 
-#include "augment/pa_seq2seq.h"
 #include "nn/attention.h"
 #include "nn/gru_cell.h"
 #include "nn/lstm.h"
 #include "nn/rnn_cell.h"
 #include "nn/st_clstm.h"
 #include "nn/st_rnn_cell.h"
+#include "poi/poi_table.h"
 #include "rec/neural_recommender.h"
 #include "tensor/gradcheck.h"
 #include "tensor/init.h"
@@ -44,12 +40,13 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "neural_graph_reference.h"
+
 namespace pa {
 namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
-namespace fusion = tensor::fusion;
 namespace kernels = tensor::kernels;
 
 // ---------------------------------------------------------------------------
@@ -186,7 +183,6 @@ TEST(LerpOpTest, ForwardMatchesCompositionBitwise) {
   Tensor mask = tensor::Sigmoid(tensor::UniformInit({1, 33}, 2.0f, rng));
   Tensor a = tensor::UniformInit({1, 33}, 3.0f, rng);
   Tensor b = tensor::UniformInit({1, 33}, 3.0f, rng);
-  tensor::InferenceModeScope scope;
   Tensor lerp = tensor::Lerp(mask, a, b);
   Tensor lerp_ref = tensor::Add(
       tensor::Mul(tensor::AddScalar(tensor::Scale(mask, -1.0f), 1.0f), b),
@@ -208,7 +204,7 @@ TEST(LerpOpTest, GradientsPassFiniteDifferences) {
 }
 
 // ---------------------------------------------------------------------------
-// Cell-level fused vs unfused vs graph parity.
+// Cell-level explicit forward vs graph Forward parity.
 
 std::vector<float> Flat(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
@@ -234,117 +230,8 @@ Tensor StepInput(int d, int t, uint32_t salt, int batch = 1) {
                 salt * 131u + static_cast<uint32_t>(t)));
 }
 
-// Three-way parity harness: fused (default inference: the cells' explicit
-// forwards), unfused (ScopedFusionDisable: their tensor-op bodies) and graph
-// (ScopedInferenceDisable) rollouts of the same step function must be
-// bitwise identical.
-template <typename RolloutFn>
-void ExpectThreeWayParity(const RolloutFn& run, const std::string& what) {
-  std::vector<float> fused;
-  {
-    tensor::InferenceModeScope scope;
-    fused = run();
-  }
-  std::vector<float> unfused;
-  {
-    tensor::InferenceModeScope scope;
-    fusion::ScopedFusionDisable no_fusion;
-    unfused = run();
-  }
-  std::vector<float> graph;
-  {
-    tensor::internal::ScopedInferenceDisable disable;
-    graph = run();
-  }
-  EXPECT_TRUE(BitEqual(fused, unfused)) << what << ": fused vs unfused";
-  EXPECT_TRUE(BitEqual(fused, graph)) << what << ": fused vs graph";
-}
-
 constexpr int kSteps = 8;
 
-TEST(FusedCellTest, LstmThreeWayParity) {
-  util::Rng rng(31);
-  nn::LstmCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.Forward(StepInput(12, t, 1), state);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm");
-}
-
-TEST(FusedCellTest, StClstmThreeWayParity) {
-  util::Rng rng(33);
-  nn::StClstmCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          // Δt/Δd change every step.
-          state = cell.Forward(StepInput(12, t, 3), state,
-                               0.25f + 0.01f * static_cast<float>(t % 7),
-                               0.5f + 0.02f * static_cast<float>(t % 5));
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "st_clstm");
-}
-
-TEST(FusedCellTest, GruThreeWayParity) {
-  util::Rng rng(34);
-  nn::GruCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          h = cell.Forward(StepInput(12, t, 4), h);
-          return Flat(h);
-        });
-      },
-      "gru");
-}
-
-TEST(FusedCellTest, RnnThreeWayParity) {
-  util::Rng rng(35);
-  nn::RnnCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          h = cell.Forward(StepInput(12, t, 5), h);
-          return Flat(h);
-        });
-      },
-      "rnn");
-}
-
-TEST(FusedCellTest, StRnnThreeWayParityAcrossBucketVariants) {
-  util::Rng rng(36);
-  nn::StRnnCell cell(12, 16, rng, /*time_buckets=*/3, /*distance_buckets=*/3);
-  ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        // Sweep bucket pairs so every step may pick other weights.
-        return Rollout(2 * kSteps, [&](int t) {
-          const float dt = 0.5f + 1.2f * static_cast<float>(t % 3);
-          const float dd = 0.3f + 1.5f * static_cast<float>(t % 2);
-          h = cell.Forward(StepInput(12, t, 6), h, dt, dd);
-          return Flat(h);
-        });
-      },
-      "st_rnn");
-}
-
-// ---------------------------------------------------------------------------
 // All five cells behind one interface, for the checks that sweep them.
 
 enum class CellKind { kRnn, kStRnn, kGru, kLstm, kStClstm };
@@ -369,16 +256,16 @@ std::string CellName(CellKind kind) {
 }
 
 // Interval schedule for the spatio-temporal cells: it walks ST-RNN across
-// its bucket pairs (3 x 3 buckets over [0, 4)) and gives ST-CLSTM another
-// Δt and Δd at every step.
+// all six of its bucket pairs (3 x 3 buckets over [0, 4)) and gives
+// ST-CLSTM another Δt and Δd at every step.
 float DeltaT(int t) { return 0.5f + 1.2f * static_cast<float>(t % 3); }
 float DeltaD(int t) { return 0.3f + 1.5f * static_cast<float>(t % 2); }
 
 // One cell of each kind at the same widths. Both rollouts start from the
 // zero state and return every step's h then c (the RNN family leaves c at
-// zero): `ForwardRollout` steps through Forward, `RowsRollout` through
-// ForwardRows on one raw h/c pair whose outputs alias its inputs, the way a
-// session steps its own state.
+// zero): `ForwardRollout` steps through the graph Forward, `RowsRollout`
+// through ForwardRows on one raw h/c pair whose outputs alias its inputs,
+// the way a session steps its own state.
 class AllCells {
  public:
   AllCells(int input_dim, int hidden, uint64_t seed)
@@ -465,33 +352,30 @@ class AllCells {
   nn::StClstmCell st_clstm_;
 };
 
-// Batch 3 through every cell: the explicit forwards take any batch, and a
+// Every cell at batch 1 and 3: the explicit forwards take any batch, and a
 // ForwardRows rollout stepping one h/c pair in place matches the graph path.
-TEST(FusedCellTest, BatchThreeMatchesGraphPath) {
-  constexpr int kBatch = 3;
-  const AllCells cells(8, 12, 41);
+TEST(FusedCellTest, RowsMatchGraphForwardAtBatchOneAndThree) {
+  const AllCells cells(12, 16, 41);
   for (CellKind kind : kAllCells) {
-    const std::string what = CellName(kind) + "_batch3";
-    ExpectThreeWayParity(
-        [&] { return cells.ForwardRollout(kind, kBatch, 50); }, what);
-    std::vector<float> graph;
-    {
-      tensor::internal::ScopedInferenceDisable disable;
-      graph = cells.ForwardRollout(kind, kBatch, 50);
+    for (int batch : {1, 3}) {
+      EXPECT_TRUE(BitEqual(cells.RowsRollout(kind, batch, 50),
+                           cells.ForwardRollout(kind, batch, 50)))
+          << CellName(kind) << " batch " << batch;
     }
-    EXPECT_TRUE(BitEqual(cells.RowsRollout(kind, kBatch, 50), graph))
-        << what << ": in-place rows vs graph";
   }
 }
 
-// PA_THREADS > 1 at a large hidden size: every path runs each product whole
+// PA_THREADS > 1 at a large hidden size: both paths run each product whole
 // on the calling thread, so the pool size must not move a bit.
 TEST(FusedCellTest, ThreadedParityAtLargeHidden) {
   const AllCells cells(64, 160, 37);
   util::SetThreadCount(4);
   for (CellKind kind : kAllCells) {
-    ExpectThreeWayParity([&] { return cells.ForwardRollout(kind, 1, 7); },
-                         CellName(kind) + "_threaded");
+    for (int batch : {1, 3}) {
+      EXPECT_TRUE(BitEqual(cells.RowsRollout(kind, batch, 7),
+                           cells.ForwardRollout(kind, batch, 7)))
+          << CellName(kind) << " batch " << batch << " threaded";
+    }
   }
   util::SetThreadCount(0);
 }
@@ -500,45 +384,29 @@ TEST(FusedCellTest, DistinctCellInstancesDoNotShareAnything) {
   util::Rng rng_a(43), rng_b(44);
   nn::RnnCell cell_a(6, 10, rng_a);
   nn::RnnCell cell_b(6, 10, rng_b);  // Different weights, same shapes.
-  auto roll = [&](const nn::RnnCell& cell, uint32_t salt) {
+  auto rows = [&](const nn::RnnCell& cell, uint32_t salt) {
+    std::vector<float> h(10, 0.0f);
+    return Rollout(kSteps, [&](int t) {
+      cell.ForwardRows(StepInput(6, t, salt).data(), h.data(), h.data(), 1);
+      return h;
+    });
+  };
+  auto graph = [&](const nn::RnnCell& cell, uint32_t salt) {
     Tensor h = cell.InitialState(1);
     return Rollout(kSteps, [&](int t) {
       h = cell.Forward(StepInput(6, t, salt), h);
       return Flat(h);
     });
   };
-  std::vector<float> a_fused, b_fused, a_ref, b_ref;
-  {
-    tensor::InferenceModeScope scope;
-    // Interleave the two cells so a shared scratch would cross wires.
-    for (int round = 0; round < 2; ++round) {
-      a_fused = roll(cell_a, 70);
-      b_fused = roll(cell_b, 71);
-    }
+  // Interleave the two cells so a shared scratch would cross wires.
+  std::vector<float> a_rows, b_rows;
+  for (int round = 0; round < 2; ++round) {
+    a_rows = rows(cell_a, 70);
+    b_rows = rows(cell_b, 71);
   }
-  {
-    tensor::InferenceModeScope scope;
-    fusion::ScopedFusionDisable no_fusion;
-    a_ref = roll(cell_a, 70);
-    b_ref = roll(cell_b, 71);
-  }
-  EXPECT_TRUE(BitEqual(a_fused, a_ref));
-  EXPECT_TRUE(BitEqual(b_fused, b_ref));
-  EXPECT_FALSE(BitEqual(a_fused, b_fused));  // Sanity: weights do differ.
-}
-
-TEST(FusionEnabledTest, ScopedDisableTogglesEnabledOnThisThread) {
-  const bool env_on = fusion::Enabled();
-  {
-    fusion::ScopedFusionDisable off;
-    EXPECT_FALSE(fusion::Enabled());
-    {
-      fusion::ScopedFusionDisable nested;
-      EXPECT_FALSE(fusion::Enabled());
-    }
-    EXPECT_FALSE(fusion::Enabled());
-  }
-  EXPECT_EQ(fusion::Enabled(), env_on);
+  EXPECT_TRUE(BitEqual(a_rows, graph(cell_a, 70)));
+  EXPECT_TRUE(BitEqual(b_rows, graph(cell_b, 71)));
+  EXPECT_FALSE(BitEqual(a_rows, b_rows));  // Sanity: weights do differ.
 }
 
 // ---------------------------------------------------------------------------
@@ -587,18 +455,15 @@ TEST(ExplicitModuleTest, ResidualBiLstmStackRowsMatchGraphForward) {
       stack.ForwardRows(xs.data(), kSteps, rows.data(), h_final,
                         h_final + kWidth);
       std::vector<float> graph;
-      {
-        tensor::internal::ScopedInferenceDisable disable;
-        nn::LstmState final_state;
-        for (const Tensor& h : stack.Forward(
-                 RowTensors(xs, kSteps, c.input_dim), &final_state)) {
-          const std::vector<float> row = Flat(h);
-          graph.insert(graph.end(), row.begin(), row.end());
-        }
-        for (const Tensor& t : {final_state.h, final_state.c}) {
-          const std::vector<float> row = Flat(t);
-          graph.insert(graph.end(), row.begin(), row.end());
-        }
+      nn::LstmState final_state;
+      for (const Tensor& h : stack.Forward(RowTensors(xs, kSteps, c.input_dim),
+                                           &final_state)) {
+        const std::vector<float> row = Flat(h);
+        graph.insert(graph.end(), row.begin(), row.end());
+      }
+      for (const Tensor& t : {final_state.h, final_state.c}) {
+        const std::vector<float> row = Flat(t);
+        graph.insert(graph.end(), row.begin(), row.end());
       }
       EXPECT_TRUE(BitEqual(rows, graph)) << table->name << ", " << c.what;
     }
@@ -621,14 +486,11 @@ TEST(ExplicitModuleTest, LocalAttentionRowMatchesGraphForward) {
         std::vector<float> row(kDecoder);
         attention.ForwardRow(h_t.data(), states.data(), n, center,
                              row.data());
-        std::vector<float> graph;
-        {
-          tensor::internal::ScopedInferenceDisable disable;
-          graph = Flat(attention
-                           .Forward(Tensor::FromData({1, kDecoder}, h_t),
-                                    RowTensors(states, n, kEncoder), center)
-                           .attentional_hidden);
-        }
+        const std::vector<float> graph =
+            Flat(attention
+                     .Forward(Tensor::FromData({1, kDecoder}, h_t),
+                              RowTensors(states, n, kEncoder), center)
+                     .attentional_hidden);
         EXPECT_TRUE(BitEqual(row, graph))
             << table->name << ", n " << n << ", centre " << center;
       }
@@ -638,67 +500,15 @@ TEST(ExplicitModuleTest, LocalAttentionRowMatchesGraphForward) {
 }
 
 // ---------------------------------------------------------------------------
-// PA-Seq2Seq's decode-only entry points decode through the explicit row
-// forwards whatever the fusion and inference switches say, so fused,
-// unfused and graph runs agree. The module tests above check those forwards
-// against the graph path; training_golden_test pins the whole decode.
+// Served sessions of every cell step flat h/c rows in place through
+// ForwardRows. Rebuilding a session from its history and ranking every POI
+// must give the list a graph rollout gives over the modules restored from
+// the model's payload (neural_graph_reference.h), which never touches a
+// session, under the scalar and best SIMD tables, at one and four threads.
+// The history's check-ins come at irregular times and places, so the ST
+// cells see real Δt/Δd, and ST-CLSTM's TopK takes its phantom step.
 
 constexpr int64_t kHour = 3600;
-
-TEST(FusedCellTest, PaSeq2SeqDecodeParity) {
-  poi::PoiTable pois = [] {
-    std::vector<geo::LatLng> coords;
-    for (int i = 0; i < 6; ++i) {
-      coords.push_back({40.0 + 0.01 * i, -100.0 + 0.005 * i});
-    }
-    return poi::PoiTable(std::move(coords));
-  }();
-  augment::PaSeq2SeqConfig config;
-  config.embedding_dim = 8;
-  config.hidden_dim = 8;
-  config.stage1_epochs = 1;
-  config.stage2_epochs = 1;
-  config.stage3_epochs = 2;
-  config.candidate_radius_km = 0.0;
-  config.seed = 5;
-  augment::PaSeq2Seq model(pois, config);
-  std::vector<poi::CheckinSequence> train(3);
-  for (int u = 0; u < 3; ++u) {
-    for (int i = 0; i < 40; ++i) {
-      train[u].push_back({u, i % 3, i * 3 * kHour, false});
-    }
-  }
-  model.Fit(train);
-
-  poi::CheckinSequence history;
-  for (int i = 0; i < 12; ++i) {
-    history.push_back({0, i % 3, i * 3 * kHour, false});
-  }
-  const int64_t next_ts = 12 * 3 * kHour;
-
-  const auto rank_fused = model.RankNext(history, next_ts, 6);
-  std::vector<int32_t> rank_unfused, rank_graph;
-  {
-    fusion::ScopedFusionDisable no_fusion;
-    rank_unfused = model.RankNext(history, next_ts, 6);
-  }
-  {
-    tensor::internal::ScopedInferenceDisable graph_mode;
-    rank_graph = model.RankNext(history, next_ts, 6);
-  }
-  EXPECT_EQ(rank_fused, rank_unfused);
-  EXPECT_EQ(rank_fused, rank_graph);
-  EXPECT_FALSE(rank_fused.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Served sessions of every cell. LSTM sessions step their own h/c in place
-// through ForwardRows; the other cells step through Forward. Rebuilding a
-// session from its history and ranking must give the same list on the
-// fused, unfused and graph paths, under the scalar and best SIMD tables, at
-// one and four threads. The history's check-ins come at irregular times and
-// places, so the ST cells see real Δt/Δd, and ST-CLSTM's TopK takes its
-// phantom step.
 
 TEST(FusedCellTest, ServedSessionRebuildMatchesStepPath) {
   // A [1, 24] x [24, 3000] projection.
@@ -730,35 +540,23 @@ TEST(FusedCellTest, ServedSessionRebuildMatchesStepPath) {
     config.epochs = 1;
     rec::NeuralRecommender model(config);
     model.Fit(train, pois);
-    auto rebuild_and_rank = [&] {
-      std::unique_ptr<rec::RecSession> session = model.NewSession(9);
-      for (const poi::Checkin& c : history) session->Observe(c);
-      return session->TopK(kPois, next_ts);
-    };
+    const testref::NeuralGraphReference reference(model, pois);
+    ASSERT_TRUE(reference.ok()) << reference.error();
 
     for (const kernels::KernelTable* table :
          {&kernels::ScalarTable(), &kernels::BestSimdTable()}) {
       kernels::SetDispatchOverride(table);
-      std::vector<int32_t> first;
+      testref::NeuralGraphReference::Session graph = reference.NewSession();
+      for (const poi::Checkin& c : history) graph.Observe(c);
+      const std::vector<int32_t> expected = graph.TopK(kPois, next_ts);
+      EXPECT_EQ(expected.size(), static_cast<size_t>(kPois));
       for (int threads : {1, 4}) {
         util::SetThreadCount(threads);
-        const std::string what = model.name() + " " + table->name +
-                                 " threads=" + std::to_string(threads);
-        const std::vector<int32_t> fused = rebuild_and_rank();
-        std::vector<int32_t> unfused, graph;
-        {
-          fusion::ScopedFusionDisable no_fusion;
-          unfused = rebuild_and_rank();
-        }
-        {
-          tensor::internal::ScopedInferenceDisable graph_mode;
-          graph = rebuild_and_rank();
-        }
-        EXPECT_EQ(fused.size(), static_cast<size_t>(kPois)) << what;
-        EXPECT_EQ(fused, unfused) << what;
-        EXPECT_EQ(fused, graph) << what;
-        if (first.empty()) first = fused;
-        EXPECT_EQ(fused, first) << what << " vs threads=1";
+        std::unique_ptr<rec::RecSession> session = model.NewSession(9);
+        for (const poi::Checkin& c : history) session->Observe(c);
+        EXPECT_EQ(session->TopK(kPois, next_ts), expected)
+            << model.name() << " " << table->name
+            << " threads=" << threads;
       }
     }
   }

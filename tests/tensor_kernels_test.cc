@@ -499,49 +499,5 @@ TEST(DispatchTest, OverrideAndNamesRoundTrip) {
   }
 }
 
-// The new rvalue in-place overloads must actually reuse the dying
-// temporary's storage under inference mode (and match the allocating path
-// bit-for-bit).
-TEST(RvalueReuseTest, ExpLogSquareSoftmaxReuseStorage) {
-  const InferenceModeScope inference;
-  auto check = [](Tensor (*op_rv)(Tensor&&), Tensor (*op_cl)(const Tensor&),
-                  const char* name, bool positive_only) {
-    std::vector<float> vals = {0.5f, 1.25f, 2.0f, 0.125f, 3.0f, 0.75f};
-    if (!positive_only) {
-      vals[0] = -0.5f;
-      vals[3] = -1.5f;
-    }
-    Tensor base = Tensor::FromData({2, 3}, vals);
-    Tensor expected = op_cl(base);
-    Tensor temp = Tensor::FromData({2, 3}, vals);
-    const float* storage = temp.data();
-    Tensor result = op_rv(std::move(temp));
-    EXPECT_EQ(result.data(), storage) << name << ": storage not reused";
-    for (int64_t i = 0; i < expected.numel(); ++i) {
-      EXPECT_EQ(expected.data()[i], result.data()[i]) << name << " at " << i;
-    }
-  };
-  check(static_cast<Tensor (*)(Tensor&&)>(Exp),
-        static_cast<Tensor (*)(const Tensor&)>(Exp), "Exp", false);
-  check(static_cast<Tensor (*)(Tensor&&)>(Log),
-        static_cast<Tensor (*)(const Tensor&)>(Log), "Log", true);
-  check(static_cast<Tensor (*)(Tensor&&)>(Square),
-        static_cast<Tensor (*)(const Tensor&)>(Square), "Square", false);
-  check(static_cast<Tensor (*)(Tensor&&)>(Softmax),
-        static_cast<Tensor (*)(const Tensor&)>(Softmax), "Softmax", false);
-  check(static_cast<Tensor (*)(Tensor&&)>(LogSoftmax),
-        static_cast<Tensor (*)(const Tensor&)>(LogSoftmax), "LogSoftmax",
-        false);
-}
-
-// Under a graph (training mode) the rvalue overloads must NOT overwrite the
-// parent: backward needs its forward values.
-TEST(RvalueReuseTest, NoReuseUnderGraph) {
-  Tensor t = Tensor::FromData({1, 3}, {1.0f, 2.0f, 3.0f});
-  const float* storage = t.data();
-  Tensor result = Square(std::move(t));
-  EXPECT_NE(result.data(), storage);
-}
-
 }  // namespace
 }  // namespace pa::tensor::kernels
