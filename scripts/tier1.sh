@@ -475,8 +475,12 @@ ctest --test-dir build-tsan --output-on-failure \
 # tensors through every kernel table — exactly where memory bugs and UB
 # (bad float->int casts, OOB tails past a vector width) would hide. The op
 # and gradient-check suites hand MatMul's backward the raw pointers of the
-# per-Backward transposed operands and of its dA scratch. The
-# kernel suite runs under both PA_SIMD extremes here too, and the fusion
+# per-Backward transposed operands and of its dA scratch. Backward closures
+# read their operands only through the node's parents and Backward frees
+# interior gradients mid-walk: the tensor suite drops every outside handle
+# to a graph's operands before Backward, and the determinism suite runs
+# per-item and mini-batch training (gradients redirected on pool threads).
+# The kernel suite runs under both PA_SIMD extremes here too, and the fusion
 # suite rides along because the cells' explicit forwards hand raw column
 # offsets and scratch layouts (gate blocks inside one row, matmul_block
 # column ranges) straight to the kernels. The PA-Seq2Seq imputation suites
@@ -499,11 +503,11 @@ cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \
   serve_model_store_test serve_session_store_test serve_engine_test \
   serve_shard_test rec_ranking_test tensor_kernels_test tensor_fusion_test \
-  tensor_ops_test tensor_gradcheck_test \
-  augment_pa_seq2seq_test augment_extensions_test \
+  tensor_ops_test tensor_gradcheck_test tensor_test \
+  parallel_determinism_test augment_pa_seq2seq_test augment_extensions_test \
   augment_linear_interpolation_test training_golden_test \
   rec_pa_seq2seq_direct_test rec_neural_test geo_rtree_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|tensor_ops_test|tensor_gradcheck_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|rec_neural_test|geo_rtree_test'
+  -R 'nn_serialize_test|serve_json_test|serve_artifact_test|serve_model_store_test|serve_session_store_test|serve_engine_test|serve_shard_test|rec_ranking_test|tensor_kernels_test|tensor_fusion_test|tensor_ops_test|tensor_gradcheck_test|tensor_test|parallel_determinism_test|augment_pa_seq2seq_test|augment_extensions_test|augment_linear_interpolation_test|training_golden_test|rec_pa_seq2seq_direct_test|rec_neural_test|geo_rtree_test'
 PA_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -R 'tensor_kernels_test|tensor_fusion_test'

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels/kernels.h"
@@ -27,24 +28,54 @@ bool NeedsGrad(const TensorImpl& impl) {
   return impl.requires_grad || impl.backward_fn != nullptr;
 }
 
+// An op's operands are Tensors, or a list of them (the Concats); a node's
+// parents are its operands in argument order, each list in its own order.
 bool NeedsGrad(const Tensor& t) { return NeedsGrad(*t.impl()); }
+bool NeedsGrad(const std::vector<Tensor>& ts) {
+  return std::any_of(ts.begin(), ts.end(),
+                     [](const Tensor& t) { return NeedsGrad(t); });
+}
+size_t OperandCount(const Tensor&) { return 1; }
+size_t OperandCount(const std::vector<Tensor>& ts) { return ts.size(); }
+void SetParents(TensorImpl& node, size_t& k, const Tensor& t) {
+  node.parents.Set(k++, t.impl());
+}
+void SetParents(TensorImpl& node, size_t& k, const std::vector<Tensor>& ts) {
+  for (const Tensor& t : ts) node.parents.Set(k++, t.impl());
+}
 
-// Creates the result node of an op. `parents` are recorded for topological
-// ordering; `backward` is installed only if some parent needs a gradient.
-Tensor MakeResult(Shape shape, std::vector<float> data,
-                  std::vector<Tensor> parents,
-                  std::function<void(TensorImpl&)> backward) {
+// Creates the result node of an op over `operands`. When some operand needs
+// a gradient, the node owns the operands as its parents, exactly sized, and
+// gets `backward`, which reads operand k as `*y.parents[k]`: the parents
+// keep every operand alive until Backward releases the node.
+template <typename... Operands>
+Tensor MakeNode(Shape shape, std::vector<float> data,
+                std::function<void(TensorImpl&)> backward,
+                const Operands&... operands) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
   impl->data = std::move(data);
-  bool any = false;
-  for (const Tensor& p : parents) any = any || NeedsGrad(p);
-  if (any) {
+  if ((NeedsGrad(operands) || ...)) {
     impl->requires_grad = true;
-    for (const Tensor& p : parents) impl->parents.push_back(p.impl());
+    impl->parents.Resize((OperandCount(operands) + ...));
+    size_t k = 0;
+    (SetParents(*impl, k, operands), ...);
     impl->backward_fn = std::move(backward);
   }
   return Tensor::FromImpl(std::move(impl));
+}
+
+// MakeNode for a closure that captures only scalars, which std::function
+// stores inline. NllLoss and Rows, whose closures carry an index list, call
+// MakeNode themselves.
+template <typename Backward, typename... Operands>
+Tensor MakeResult(Shape shape, std::vector<float> data, Backward backward,
+                  const Operands&... operands) {
+  static_assert(sizeof(Backward) <= 16 &&
+                    std::is_trivially_copyable_v<Backward>,
+                "a backward closure captures scalars only and reads its "
+                "operands as y.parents[k]");
+  return MakeNode(shape, std::move(data), backward, operands...);
 }
 
 // Result node on the graph-free inference path: no parents, no backward
@@ -85,11 +116,10 @@ std::vector<float> ZeroedForwardBuffer(int64_t n, bool inference) {
 // GradRedirectScope in tensor.h). `g` is a template parameter so each
 // closure's loop inlines.
 template <typename ElementGrad>
-void Accumulate(const std::shared_ptr<TensorImpl>& dst,
-                const ElementGrad& g) {
-  if (!NeedsGrad(*dst)) return;
-  std::vector<float>& grad = internal::GradBuffer(*dst);
-  const int64_t n = dst->shape.numel();
+void Accumulate(TensorImpl& dst, const ElementGrad& g) {
+  if (!NeedsGrad(dst)) return;
+  float* grad = internal::GradBuffer(dst).data();
+  const int64_t n = dst.shape.numel();
   for (int64_t i = 0; i < n; ++i) grad[i] += g(i);
 }
 
@@ -104,17 +134,45 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
         " and " + b.shape().ToString());
 }
 
-// Index of the b-element matching flat index i of a under broadcasting.
-int64_t BIndex(BroadcastKind kind, int64_t i, int cols) {
+// Calls f(i, j) for every element i of a `numel`-element left operand, in
+// ascending i, with j the element of the right operand it broadcasts from:
+// one loop per kind, so no element pays for an index switch or an `i % cols`.
+template <typename F>
+void ForEachBroadcast(BroadcastKind kind, int64_t numel, int cols, F f) {
   switch (kind) {
     case BroadcastKind::kSame:
-      return i;
-    case BroadcastKind::kRow:
-      return i % cols;
+      for (int64_t i = 0; i < numel; ++i) f(i, i);
+      break;
+    case BroadcastKind::kRow: {
+      const int64_t rows = cols > 0 ? numel / cols : 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) f(r * cols + c, int64_t{c});
+      }
+      break;
+    }
     case BroadcastKind::kScalar:
-      return 0;
+      for (int64_t i = 0; i < numel; ++i) f(i, int64_t{0});
+      break;
   }
-  return 0;
+}
+
+// The right operand's gradient: `step(acc, i)` folds element i of y into
+// the accumulator of the b-element it broadcasts from. Each b element gets
+// its steps in ascending i, as one per-element loop gives them; under kScalar
+// they run as one chain in a register.
+template <typename Step>
+void AccumulateBroadcast(TensorImpl& b, BroadcastKind kind, int64_t numel,
+                         int cols, const Step& step) {
+  if (!NeedsGrad(b)) return;
+  float* bgrad = internal::GradBuffer(b).data();
+  if (kind == BroadcastKind::kScalar) {
+    float acc = bgrad[0];
+    for (int64_t i = 0; i < numel; ++i) step(acc, i);
+    bgrad[0] = acc;
+    return;
+  }
+  ForEachBroadcast(kind, numel, cols,
+                   [&](int64_t i, int64_t j) { step(bgrad[j], i); });
 }
 
 // The vector-vector and vector-scalar kernel pair implementing one binary
@@ -145,11 +203,10 @@ void BinaryForward(const float* a, const float* b, float* out, int64_t numel,
   }
 }
 
+// `make_backward(kind, cols)` returns the op's closure over y = op(a, b).
+template <typename MakeBackward>
 Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b,
-                const BinaryKernels& bk,
-                std::function<void(TensorImpl&)> (*make_backward)(
-                    std::shared_ptr<TensorImpl>, std::shared_ptr<TensorImpl>,
-                    BroadcastKind, int)) {
+                const BinaryKernels& bk, MakeBackward make_backward) {
   const BroadcastKind kind = CheckBroadcast(a, b, name);
   const int cols = a.cols();
   const int64_t numel = a.numel();
@@ -160,35 +217,25 @@ Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b,
   }
   std::vector<float> out = ForwardBuffer(numel, false);
   BinaryForward(a.data(), b.data(), out.data(), numel, cols, kind, bk);
-  return MakeResult(a.shape(), std::move(out), {a, b},
-                    make_backward(a.impl(), b.impl(), kind, cols));
+  return MakeResult(a.shape(), std::move(out), make_backward(kind, cols), a,
+                    b);
 }
 
-std::function<void(TensorImpl&)> AddBackward(std::shared_ptr<TensorImpl> ai,
-                                             std::shared_ptr<TensorImpl> bi,
-                                             BroadcastKind kind, int cols) {
-  return [ai, bi, kind, cols](TensorImpl& y) {
-    Accumulate(ai, [&](int64_t i) { return y.grad[i]; });
-    if (NeedsGrad(*bi)) {
-      std::vector<float>& bgrad = internal::GradBuffer(*bi);
-      for (int64_t i = 0; i < y.shape.numel(); ++i) {
-        bgrad[BIndex(kind, i, cols)] += y.grad[i];
-      }
-    }
+auto AddBackward(BroadcastKind kind, int cols) {
+  return [kind, cols](TensorImpl& y) {
+    const float* g = y.grad.data();
+    Accumulate(*y.parents[0], [g](int64_t i) { return g[i]; });
+    AccumulateBroadcast(*y.parents[1], kind, y.shape.numel(), cols,
+                        [g](float& acc, int64_t i) { acc += g[i]; });
   };
 }
 
-std::function<void(TensorImpl&)> SubBackward(std::shared_ptr<TensorImpl> ai,
-                                             std::shared_ptr<TensorImpl> bi,
-                                             BroadcastKind kind, int cols) {
-  return [ai, bi, kind, cols](TensorImpl& y) {
-    Accumulate(ai, [&](int64_t i) { return y.grad[i]; });
-    if (NeedsGrad(*bi)) {
-      std::vector<float>& bgrad = internal::GradBuffer(*bi);
-      for (int64_t i = 0; i < y.shape.numel(); ++i) {
-        bgrad[BIndex(kind, i, cols)] -= y.grad[i];
-      }
-    }
+auto SubBackward(BroadcastKind kind, int cols) {
+  return [kind, cols](TensorImpl& y) {
+    const float* g = y.grad.data();
+    Accumulate(*y.parents[0], [g](int64_t i) { return g[i]; });
+    AccumulateBroadcast(*y.parents[1], kind, y.shape.numel(), cols,
+                        [g](float& acc, int64_t i) { acc -= g[i]; });
   };
 }
 
@@ -220,19 +267,23 @@ namespace {
 
 // Mul's backward reads the *parents'* forward values, so under a graph a
 // parent's buffer must survive untouched until Backward().
-std::function<void(TensorImpl&)> MulBackward(std::shared_ptr<TensorImpl> ai,
-                                             std::shared_ptr<TensorImpl> bi,
-                                             BroadcastKind kind, int cols) {
-  return [ai, bi, kind, cols](TensorImpl& y) {
-    Accumulate(ai, [&](int64_t i) {
-      return y.grad[i] * bi->data[BIndex(kind, i, cols)];
-    });
-    if (NeedsGrad(*bi)) {
-      std::vector<float>& bgrad = internal::GradBuffer(*bi);
-      for (int64_t i = 0; i < y.shape.numel(); ++i) {
-        bgrad[BIndex(kind, i, cols)] += y.grad[i] * ai->data[i];
-      }
+auto MulBackward(BroadcastKind kind, int cols) {
+  return [kind, cols](TensorImpl& y) {
+    TensorImpl& a = *y.parents[0];
+    TensorImpl& b = *y.parents[1];
+    const float* g = y.grad.data();
+    const int64_t numel = y.shape.numel();
+    if (NeedsGrad(a)) {
+      float* agrad = internal::GradBuffer(a).data();
+      const float* bd = b.data.data();
+      ForEachBroadcast(kind, numel, cols, [&](int64_t i, int64_t j) {
+        agrad[i] += g[i] * bd[j];
+      });
     }
+    const float* ad = a.data.data();
+    AccumulateBroadcast(b, kind, numel, cols, [g, ad](float& acc, int64_t i) {
+      acc += g[i] * ad[i];
+    });
   };
 }
 
@@ -270,21 +321,20 @@ Tensor Lerp(const Tensor& mask, const Tensor& a, const Tensor& b) {
   }
   std::vector<float> out = ForwardBuffer(numel, false);
   kt.lerp(mask.data(), a.data(), b.data(), out.data(), numel);
-  auto mi = mask.impl();
-  auto ai = a.impl();
-  auto bi = b.impl();
-  return MakeResult(a.shape(), std::move(out), {mask, a, b},
-                    [mi, ai, bi](TensorImpl& y) {
-                      Accumulate(ai, [&](int64_t i) {
-                        return y.grad[i] * mi->data[i];
-                      });
-                      Accumulate(bi, [&](int64_t i) {
-                        return y.grad[i] * (1.0f - mi->data[i]);
-                      });
-                      Accumulate(mi, [&](int64_t i) {
-                        return y.grad[i] * (ai->data[i] - bi->data[i]);
-                      });
-                    });
+  return MakeResult(
+      a.shape(), std::move(out),
+      [](TensorImpl& y) {
+        const float* g = y.grad.data();
+        const float* md = y.parents[0]->data.data();
+        const float* ad = y.parents[1]->data.data();
+        const float* bd = y.parents[2]->data.data();
+        Accumulate(*y.parents[1], [&](int64_t i) { return g[i] * md[i]; });
+        Accumulate(*y.parents[2],
+                   [&](int64_t i) { return g[i] * (1.0f - md[i]); });
+        Accumulate(*y.parents[0],
+                   [&](int64_t i) { return g[i] * (ad[i] - bd[i]); });
+      },
+      mask, a, b);
 }
 
 // The whole product runs on the calling thread: parallelism lives at coarser
@@ -314,24 +364,26 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   }
   std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
   kt.matmul_block(a.data(), b.data(), out.data(), k, n, 0, m, 0, n);
-  auto ai = a.impl();
-  auto bi = b.impl();
   return MakeResult(
-      {m, n}, std::move(out), {a, b}, [ai, bi, m, k, n](TensorImpl& y) {
+      {m, n}, std::move(out),
+      [m, k, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        TensorImpl& b = *y.parents[1];
         const kernels::KernelTable& bk = kernels::Active();
-        if (NeedsGrad(*ai)) {
+        if (NeedsGrad(a)) {
           thread_local std::vector<float> scratch;
           scratch.assign(static_cast<size_t>(m) * k, 0.0f);
-          bk.matmul_block(y.grad.data(), internal::TransposedData(*bi),
+          bk.matmul_block(y.grad.data(), internal::TransposedData(b),
                           scratch.data(), n, k, 0, m, 0, k);
-          float* da = internal::GradBuffer(*ai).data();
+          float* da = internal::GradBuffer(a).data();
           bk.add(da, scratch.data(), da, static_cast<int64_t>(m) * k);
         }
-        if (NeedsGrad(*bi)) {
-          bk.matmul_grad_b(ai->data.data(), y.grad.data(),
-                           internal::GradBuffer(*bi).data(), m, k, n);
+        if (NeedsGrad(b)) {
+          bk.matmul_grad_b(a.data.data(), y.grad.data(),
+                           internal::GradBuffer(b).data(), m, k, n);
         }
-      });
+      },
+      a, b);
 }
 
 Tensor Transpose(const Tensor& a) {
@@ -343,17 +395,35 @@ Tensor Transpose(const Tensor& a) {
     for (int j = 0; j < n; ++j) out[j * m + i] = ad[i * n + j];
   }
   if (inference) return MakeInferenceResult({n, m}, std::move(out));
-  auto ai = a.impl();
-  return MakeResult({n, m}, std::move(out), {a}, [ai, m, n](TensorImpl& y) {
-    if (!NeedsGrad(*ai)) return;
-    std::vector<float>& agrad = internal::GradBuffer(*ai);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) agrad[i * n + j] += y.grad[j * m + i];
-    }
-  });
+  return MakeResult(
+      {n, m}, std::move(out),
+      [m, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        const float* g = y.grad.data();
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) agrad[i * n + j] += g[j * m + i];
+        }
+      },
+      a);
 }
 
 namespace {
+
+// The closure of an elementwise unary op: dA[i] += dY[i] * d(x, y), with x
+// and y the op's input and output at i.
+template <typename BwdFn>
+auto UnaryBackward(BwdFn bwd_from_in_out) {
+  return [bwd_from_in_out](TensorImpl& y) {
+    const float* g = y.grad.data();
+    const float* xd = y.parents[0]->data.data();
+    const float* yd = y.data.data();
+    Accumulate(*y.parents[0], [&](int64_t i) {
+      return g[i] * bwd_from_in_out(xd[i], yd[i]);
+    });
+  };
+}
 
 // Shared implementation for elementwise unary ops whose derivative is a
 // function of the *output* value (sigmoid, tanh, exp) or *input* value.
@@ -367,14 +437,8 @@ Tensor UnaryKernelOp(const Tensor& a,
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), out.data(), numel);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
-  auto ai = a.impl();
-  return MakeResult(a.shape(), std::move(out), {a},
-                    [ai, bwd_from_in_out](TensorImpl& y) {
-                      Accumulate(ai, [&](int64_t i) {
-                        return y.grad[i] *
-                               bwd_from_in_out(ai->data[i], y.data[i]);
-                      });
-                    });
+  return MakeResult(a.shape(), std::move(out), UnaryBackward(bwd_from_in_out),
+                    a);
 }
 
 // Same shape for the scalar-parameter ops (Scale, AddScalar), which reuse
@@ -389,14 +453,8 @@ Tensor UnaryScalarKernelOp(const Tensor& a, float c,
   std::vector<float> out = ForwardBuffer(numel, inference);
   kernel(a.data(), c, out.data(), numel);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
-  auto ai = a.impl();
-  return MakeResult(a.shape(), std::move(out), {a},
-                    [ai, bwd_from_in_out](TensorImpl& y) {
-                      Accumulate(ai, [&](int64_t i) {
-                        return y.grad[i] *
-                               bwd_from_in_out(ai->data[i], y.data[i]);
-                      });
-                    });
+  return MakeResult(a.shape(), std::move(out), UnaryBackward(bwd_from_in_out),
+                    a);
 }
 
 }  // namespace
@@ -452,21 +510,55 @@ Tensor Softmax(const Tensor& a) {
   std::vector<float> out = ForwardBuffer(a.numel(), inference);
   kt.softmax(a.data(), out.data(), m, n);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
-  auto ai = a.impl();
-  return MakeResult(a.shape(), std::move(out), {a}, [ai, m, n](TensorImpl& y) {
-    if (!NeedsGrad(*ai)) return;
-    std::vector<float>& agrad = internal::GradBuffer(*ai);
-    for (int i = 0; i < m; ++i) {
-      const float* yrow = y.data.data() + i * n;
-      const float* grow = y.grad.data() + i * n;
-      float dot = 0.0f;
-      for (int j = 0; j < n; ++j) dot += yrow[j] * grow[j];
-      for (int j = 0; j < n; ++j) {
-        agrad[i * n + j] += yrow[j] * (grow[j] - dot);
+  return MakeResult(
+      a.shape(), std::move(out),
+      [m, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        for (int i = 0; i < m; ++i) {
+          const float* yrow = y.data.data() + i * n;
+          const float* grow = y.grad.data() + i * n;
+          float dot = 0.0f;
+          for (int j = 0; j < n; ++j) dot += yrow[j] * grow[j];
+          for (int j = 0; j < n; ++j) {
+            agrad[i * n + j] += yrow[j] * (grow[j] - dot);
+          }
+        }
+      },
+      a);
+}
+
+namespace {
+
+// Rows handled side by side by RowSums.
+constexpr int kRowBlock = 8;
+
+// sums[r] = x[r, 0] + x[r, 1] + ... for the first `rows` (at most kRowBlock)
+// rows of the [rows, n] matrix x, each an ascending-j chain from +0. A full
+// block runs its eight chains side by side, so the additions of one row wait
+// on each other but not on the other rows'; every row gets the additions a
+// row at a time would give it.
+void RowSums(const float* x, int rows, int n, float* sums) {
+  if (rows == kRowBlock) {
+    float acc[kRowBlock] = {};
+    for (int j = 0; j < n; ++j) {
+      for (int r = 0; r < kRowBlock; ++r) {
+        acc[r] += x[static_cast<int64_t>(r) * n + j];
       }
     }
-  });
+    for (int r = 0; r < kRowBlock; ++r) sums[r] = acc[r];
+    return;
+  }
+  for (int r = 0; r < rows; ++r) {
+    const float* row = x + static_cast<int64_t>(r) * n;
+    float acc = 0.0f;
+    for (int j = 0; j < n; ++j) acc += row[j];
+    sums[r] = acc;
+  }
 }
+
+}  // namespace
 
 Tensor LogSoftmax(const Tensor& a) {
   const int m = a.rows(), n = a.cols();
@@ -475,20 +567,27 @@ Tensor LogSoftmax(const Tensor& a) {
   std::vector<float> out = ForwardBuffer(a.numel(), inference);
   kt.log_softmax(a.data(), out.data(), m, n);
   if (inference) return MakeInferenceResult(a.shape(), std::move(out));
-  auto ai = a.impl();
-  return MakeResult(a.shape(), std::move(out), {a}, [ai, m, n](TensorImpl& y) {
-    if (!NeedsGrad(*ai)) return;
-    std::vector<float>& agrad = internal::GradBuffer(*ai);
-    for (int i = 0; i < m; ++i) {
-      const float* yrow = y.data.data() + i * n;
-      const float* grow = y.grad.data() + i * n;
-      float gsum = 0.0f;
-      for (int j = 0; j < n; ++j) gsum += grow[j];
-      for (int j = 0; j < n; ++j) {
-        agrad[i * n + j] += grow[j] - std::exp(yrow[j]) * gsum;
-      }
-    }
-  });
+  return MakeResult(
+      a.shape(), std::move(out),
+      [m, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        const float* yd = y.data.data();
+        const float* gd = y.grad.data();
+        float gsum[kRowBlock];
+        for (int i0 = 0; i0 < m; i0 += kRowBlock) {
+          const int rows = std::min(kRowBlock, m - i0);
+          RowSums(gd + static_cast<int64_t>(i0) * n, rows, n, gsum);
+          for (int r = 0; r < rows; ++r) {
+            const int64_t off = static_cast<int64_t>(i0 + r) * n;
+            for (int j = 0; j < n; ++j) {
+              agrad[off + j] += gd[off + j] - std::exp(yd[off + j]) * gsum[r];
+            }
+          }
+        }
+      },
+      a);
 }
 
 Tensor NllLoss(const Tensor& log_probs, const std::vector<int>& targets) {
@@ -509,16 +608,16 @@ Tensor NllLoss(const Tensor& log_probs, const std::vector<int>& targets) {
     out[0] = loss;
     return MakeInferenceResult({1, 1}, std::move(out));
   }
-  auto li = log_probs.impl();
-  return MakeResult({1, 1}, {loss}, {log_probs},
-                    [li, targets, m, n](TensorImpl& y) {
-                      if (!NeedsGrad(*li)) return;
-                      std::vector<float>& lgrad = internal::GradBuffer(*li);
-                      const float g = y.grad[0] / static_cast<float>(m);
-                      for (int i = 0; i < m; ++i) {
-                        lgrad[i * n + targets[i]] -= g;
-                      }
-                    });
+  return MakeNode(
+      {1, 1}, {loss},
+      [targets, m, n](TensorImpl& y) {
+        TensorImpl& lp = *y.parents[0];
+        if (!NeedsGrad(lp)) return;
+        float* lgrad = internal::GradBuffer(lp).data();
+        const float g = y.grad[0] / static_cast<float>(m);
+        for (int i = 0; i < m; ++i) lgrad[i * n + targets[i]] -= g;
+      },
+      log_probs);
 }
 
 Tensor CrossEntropyLoss(const Tensor& logits, const std::vector<int>& targets) {
@@ -546,27 +645,24 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     off += p.cols();
   }
   if (inference) return MakeInferenceResult({m, total}, std::move(out));
-  std::vector<std::shared_ptr<TensorImpl>> impls;
-  impls.reserve(parts.size());
-  for (const Tensor& p : parts) impls.push_back(p.impl());
-  return MakeResult({m, total}, std::move(out), parts,
-                    [impls, m, total](TensorImpl& y) {
-                      int off2 = 0;
-                      for (const auto& pi : impls) {
-                        const int pc = pi->shape.cols;
-                        if (NeedsGrad(*pi)) {
-                          std::vector<float>& pgrad =
-                              internal::GradBuffer(*pi);
-                          for (int i = 0; i < m; ++i) {
-                            for (int j = 0; j < pc; ++j) {
-                              pgrad[i * pc + j] +=
-                                  y.grad[i * total + off2 + j];
-                            }
-                          }
-                        }
-                        off2 += pc;
-                      }
-                    });
+  return MakeResult(
+      {m, total}, std::move(out),
+      [m, total](TensorImpl& y) {
+        int off2 = 0;
+        for (const auto& part : y.parents) {
+          const int pc = part->shape.cols;
+          if (NeedsGrad(*part)) {
+            float* pgrad = internal::GradBuffer(*part).data();
+            for (int i = 0; i < m; ++i) {
+              for (int j = 0; j < pc; ++j) {
+                pgrad[i * pc + j] += y.grad[i * total + off2 + j];
+              }
+            }
+          }
+          off2 += pc;
+        }
+      },
+      parts);
 }
 
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
@@ -587,24 +683,20 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     off += cnt;
   }
   if (inference) return MakeInferenceResult({total, n}, std::move(out));
-  std::vector<std::shared_ptr<TensorImpl>> impls;
-  impls.reserve(parts.size());
-  for (const Tensor& p : parts) impls.push_back(p.impl());
-  return MakeResult({total, n}, std::move(out), parts,
-                    [impls, n](TensorImpl& y) {
-                      int64_t off2 = 0;
-                      for (const auto& pi : impls) {
-                        const int64_t cnt = pi->shape.numel();
-                        if (NeedsGrad(*pi)) {
-                          std::vector<float>& pgrad =
-                              internal::GradBuffer(*pi);
-                          for (int64_t i = 0; i < cnt; ++i) {
-                            pgrad[i] += y.grad[off2 + i];
-                          }
-                        }
-                        off2 += cnt;
-                      }
-                    });
+  return MakeResult(
+      {total, n}, std::move(out),
+      [](TensorImpl& y) {
+        int64_t off2 = 0;
+        for (const auto& part : y.parents) {
+          const int64_t cnt = part->shape.numel();
+          if (NeedsGrad(*part)) {
+            float* pgrad = internal::GradBuffer(*part).data();
+            for (int64_t i = 0; i < cnt; ++i) pgrad[i] += y.grad[off2 + i];
+          }
+          off2 += cnt;
+        }
+      },
+      parts);
 }
 
 Tensor SliceCols(const Tensor& a, int start, int len) {
@@ -619,17 +711,19 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
     for (int j = 0; j < len; ++j) out[i * len + j] = arow[j];
   }
   if (inference) return MakeInferenceResult({m, len}, std::move(out));
-  auto ai = a.impl();
-  return MakeResult({m, len}, std::move(out), {a},
-                    [ai, start, len, m, n](TensorImpl& y) {
-                      if (!NeedsGrad(*ai)) return;
-                      std::vector<float>& agrad = internal::GradBuffer(*ai);
-                      for (int i = 0; i < m; ++i) {
-                        for (int j = 0; j < len; ++j) {
-                          agrad[i * n + start + j] += y.grad[i * len + j];
-                        }
-                      }
-                    });
+  return MakeResult(
+      {m, len}, std::move(out),
+      [start, len, m, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < len; ++j) {
+            agrad[i * n + start + j] += y.grad[i * len + j];
+          }
+        }
+      },
+      a);
 }
 
 Tensor SliceRows(const Tensor& a, int start, int len) {
@@ -641,17 +735,17 @@ Tensor SliceRows(const Tensor& a, int start, int len) {
   std::copy(a.data() + static_cast<size_t>(start) * n,
             a.data() + static_cast<size_t>(start + len) * n, out.begin());
   if (inference) return MakeInferenceResult({len, n}, std::move(out));
-  auto ai = a.impl();
-  return MakeResult({len, n}, std::move(out), {a},
-                    [ai, start, len, n](TensorImpl& y) {
-                      if (!NeedsGrad(*ai)) return;
-                      std::vector<float>& agrad = internal::GradBuffer(*ai);
-                      for (int64_t i = 0; i < static_cast<int64_t>(len) * n;
-                           ++i) {
-                        agrad[static_cast<int64_t>(start) * n + i] +=
-                            y.grad[i];
-                      }
-                    });
+  return MakeResult(
+      {len, n}, std::move(out),
+      [start, len, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        for (int64_t i = 0; i < static_cast<int64_t>(len) * n; ++i) {
+          agrad[static_cast<int64_t>(start) * n + i] += y.grad[i];
+        }
+      },
+      a);
 }
 
 Tensor Rows(const Tensor& table, const std::vector<int>& indices) {
@@ -668,18 +762,18 @@ Tensor Rows(const Tensor& table, const std::vector<int>& indices) {
     for (int j = 0; j < d; ++j) out[i * d + j] = trow[j];
   }
   if (inference) return MakeInferenceResult({b, d}, std::move(out));
-  auto ti = table.impl();
-  return MakeResult({b, d}, std::move(out), {table},
-                    [ti, indices, b, d](TensorImpl& y) {
-                      if (!NeedsGrad(*ti)) return;
-                      std::vector<float>& tgrad = internal::GradBuffer(*ti);
-                      for (int i = 0; i < b; ++i) {
-                        float* row = tgrad.data() + indices[i] * d;
-                        for (int j = 0; j < d; ++j) {
-                          row[j] += y.grad[i * d + j];
-                        }
-                      }
-                    });
+  return MakeNode(
+      {b, d}, std::move(out),
+      [indices, b, d](TensorImpl& y) {
+        TensorImpl& t = *y.parents[0];
+        if (!NeedsGrad(t)) return;
+        float* tgrad = internal::GradBuffer(t).data();
+        for (int i = 0; i < b; ++i) {
+          float* row = tgrad + indices[i] * d;
+          for (int j = 0; j < d; ++j) row[j] += y.grad[i * d + j];
+        }
+      },
+      table);
 }
 
 Tensor Sum(const Tensor& a) {
@@ -692,10 +786,13 @@ Tensor Sum(const Tensor& a) {
     out[0] = total;
     return MakeInferenceResult({1, 1}, std::move(out));
   }
-  auto ai = a.impl();
-  return MakeResult({1, 1}, {total}, {a}, [ai](TensorImpl& y) {
-    Accumulate(ai, [&](int64_t) { return y.grad[0]; });
-  });
+  return MakeResult(
+      {1, 1}, {total},
+      [](TensorImpl& y) {
+        const float g = y.grad[0];
+        Accumulate(*y.parents[0], [g](int64_t) { return g; });
+      },
+      a);
 }
 
 Tensor Mean(const Tensor& a) {
@@ -709,10 +806,13 @@ Tensor Mean(const Tensor& a) {
     out[0] = total * inv;
     return MakeInferenceResult({1, 1}, std::move(out));
   }
-  auto ai = a.impl();
-  return MakeResult({1, 1}, {total * inv}, {a}, [ai, inv](TensorImpl& y) {
-    Accumulate(ai, [&](int64_t) { return y.grad[0] * inv; });
-  });
+  return MakeResult(
+      {1, 1}, {total * inv},
+      [inv](TensorImpl& y) {
+        const float g = y.grad[0];
+        Accumulate(*y.parents[0], [g, inv](int64_t) { return g * inv; });
+      },
+      a);
 }
 
 Tensor SumRows(const Tensor& a) {
@@ -723,14 +823,17 @@ Tensor SumRows(const Tensor& a) {
     for (int j = 0; j < n; ++j) out[i] += a.at(i, j);
   }
   if (inference) return MakeInferenceResult({m, 1}, std::move(out));
-  auto ai = a.impl();
-  return MakeResult({m, 1}, std::move(out), {a}, [ai, m, n](TensorImpl& y) {
-    if (!NeedsGrad(*ai)) return;
-    std::vector<float>& agrad = internal::GradBuffer(*ai);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) agrad[i * n + j] += y.grad[i];
-    }
-  });
+  return MakeResult(
+      {m, 1}, std::move(out),
+      [m, n](TensorImpl& y) {
+        TensorImpl& a = *y.parents[0];
+        if (!NeedsGrad(a)) return;
+        float* agrad = internal::GradBuffer(a).data();
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) agrad[i * n + j] += y.grad[i];
+        }
+      },
+      a);
 }
 
 }  // namespace pa::tensor

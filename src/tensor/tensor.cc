@@ -237,7 +237,9 @@ void Tensor::Backward() {
   impl_->grad[0] += 1.0f;
 
   // Post-order yields parents before children; reverse iteration visits each
-  // node only after all of its consumers have contributed its gradient.
+  // node only after all of its consumers have contributed its gradient. So
+  // once a node's closure has run nothing adds to its gradient again, and
+  // an interior node's buffer is freed there; the root keeps its own.
   {
     TransposeTableScope transposed;
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -245,6 +247,7 @@ void Tensor::Backward() {
       if (node->backward_fn) {
         node->EnsureGrad();
         node->backward_fn(*node);
+        if (node != impl_.get()) std::vector<float>().swap(node->grad);
       }
     }
   }
@@ -252,11 +255,12 @@ void Tensor::Backward() {
   // Eager graph release: no caller retains a graph for a second Backward()
   // over the same nodes (leaf gradients accumulate across *rebuilt* graphs),
   // so drop every edge and closure now. This caps peak memory at one graph's
-  // tensors and severs any accidental shared_ptr cycle through captured
-  // impls. Iterating `order` forward (parents before consumers) means a node
-  // whose only owners are its consumers' parent lists is destroyed only
-  // after its own slot has been processed, and with its parent list already
-  // empty — so teardown is iterative, never a deep destructor recursion.
+  // tensors; the parent lists are the graph's only edges (closures capture
+  // no node), so nothing in it keeps a node alive afterwards. Iterating
+  // `order` forward (parents before consumers) means a node whose only
+  // owners are its consumers' parent lists is destroyed only after its own
+  // slot has been processed, and with its parent list already empty — so
+  // teardown is iterative, never a deep destructor recursion.
   for (internal::TensorImpl* node : order) {
     node->parents.clear();
     node->backward_fn = nullptr;

@@ -26,15 +26,59 @@ struct Shape {
 
 namespace internal {
 
+struct TensorImpl;
+
+/// A node's parents: up to three in place (every op but the Concats), more
+/// in one exactly sized heap array.
+class ParentList {
+ public:
+  using Ptr = std::shared_ptr<TensorImpl>;
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Ptr& operator[](size_t k) const { return data()[k]; }
+  const Ptr* begin() const { return data(); }
+  const Ptr* end() const { return data() + size_; }
+
+  /// Sizes an empty list for exactly `n` parents, which `Set` then fills.
+  void Resize(size_t n) {
+    if (n > kInline) spill_.resize(n);
+    size_ = n;
+  }
+  void Set(size_t k, Ptr p) {
+    (size_ > kInline ? spill_.data() : inline_)[k] = std::move(p);
+  }
+  void clear() {
+    for (Ptr& p : inline_) p.reset();
+    std::vector<Ptr>().swap(spill_);
+    size_ = 0;
+  }
+
+ private:
+  static constexpr size_t kInline = 3;
+  const Ptr* data() const { return size_ > kInline ? spill_.data() : inline_; }
+
+  Ptr inline_[kInline];
+  std::vector<Ptr> spill_;
+  size_t size_ = 0;
+};
+
 /// Reference-counted tensor storage plus its position in the autograd graph.
 ///
-/// A node records its parents and a closure that, given the node's
-/// accumulated output gradient, accumulates gradients into the parents.
-/// `Tensor::Backward` runs these closures in reverse topological order.
+/// An op's result node owns its operands as `parents`, in the op's argument
+/// order, and a closure that, given the node's accumulated output gradient,
+/// accumulates gradients into the parents. The closure reads operand k as
+/// `*y.parents[k]` and captures only scalars (NllLoss and Rows also carry
+/// their index lists), so the parents alone keep the operands alive until
+/// `Tensor::Backward` releases the node. Backward runs the closures in
+/// reverse topological order and frees each interior node's gradient once
+/// its closure has run: afterwards only leaves and the root hold gradients.
 struct TensorImpl {
   Shape shape;
   std::vector<float> data;
-  std::vector<float> grad;  // Lazily sized to `data.size()` on first use.
+  // Lazily sized to `data.size()` on first use; an interior node's is freed
+  // by Backward once its closure has run.
+  std::vector<float> grad;
   bool requires_grad = false;
   // True when `data` came from the thread-local BufferPool (inference mode);
   // the destructor then recycles the storage instead of freeing it.
@@ -43,7 +87,7 @@ struct TensorImpl {
   // `backward_fn`) only: leaves may be shared across training threads.
   // Backward releases every node it walks, so the flag is never reset.
   bool visited = false;
-  std::vector<std::shared_ptr<TensorImpl>> parents;
+  ParentList parents;
   std::function<void(TensorImpl&)> backward_fn;
 
   TensorImpl() = default;
@@ -137,7 +181,9 @@ class Tensor {
   float item() const;
 
   /// Gradient buffer (allocated on demand). Only meaningful after
-  /// `Backward()` has run on a graph containing this tensor.
+  /// `Backward()` has run on a graph containing this tensor, and then only
+  /// for a leaf or the root: Backward frees every interior node's gradient
+  /// once that node's closure has used it.
   float* grad_data();
   const std::vector<float>& grad_vector() const;
   float grad_at(int r, int c) const;
@@ -149,8 +195,10 @@ class Tensor {
   Tensor Detach() const;
 
   /// Runs reverse-mode differentiation from this tensor, which must be a
-  /// `[1, 1]` scalar (a loss). Gradients *accumulate* into `grad` buffers of
-  /// all reachable tensors with `requires_grad`.
+  /// `[1, 1]` scalar (a loss). Gradients *accumulate* into the `grad`
+  /// buffers of all reachable leaves with `requires_grad`. Afterwards only
+  /// leaves and this root hold gradients, and the graph below the root is
+  /// released: a second call adds to the root's gradient only.
   void Backward();
 
   /// In-place SGD-style update helper used by optimizers: data -= lr * delta.

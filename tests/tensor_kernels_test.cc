@@ -460,6 +460,36 @@ TEST(KernelRowReductionTest, ExactAliasingMatchesOutOfPlace) {
   }
 }
 
+// log_softmax runs the max and sum chains of up to eight rows side by side;
+// each row must still come out as a one-row call computes it. m = 1..17
+// covers no full block, one and two full blocks, and every tail length.
+// Rows hold NaN, +/-inf and -0 (EdgeInput's specials, at a different
+// offset in each row).
+TEST(KernelRowReductionTest, LogSoftmaxRowBlocksMatchOneRowCalls) {
+  for (const KernelTable* table : AllTables()) {
+    for (int n : {1, 7, 33, 300}) {
+      for (int m = 1; m <= 17; ++m) {
+        std::vector<float> a;
+        for (int r = 0; r < m; ++r) {
+          std::vector<float> row = EdgeInput(n + r, 20u + r);
+          a.insert(a.end(), row.begin() + r, row.end());
+        }
+        std::vector<float> want(a.size());
+        for (int r = 0; r < m; ++r) {
+          const int64_t off = static_cast<int64_t>(r) * n;
+          table->log_softmax(a.data() + off, want.data() + off, 1, n);
+        }
+        std::vector<float> got(a.size());
+        table->log_softmax(a.data(), got.data(), m, n);
+        ExpectBitIdentical(want, got,
+                           std::string("log_softmax ") + table->name +
+                               " m=" + std::to_string(m) +
+                               " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
 // Regression: the pre-kernel Softmax/LogSoftmax read row[0] before checking
 // the width, walking off the end of a zero-column tensor. The kernels'
 // n <= 0 guard makes the op a well-defined no-op.

@@ -493,5 +493,63 @@ TEST(MatMulInputGradTest, ConcurrentBackwardsShareOneWeight) {
   }
 }
 
+// Add, Sub and Mul's backward for every broadcast of b: a [m, n] against b
+// [m, n], [1, n] and [1, 1]. Each b element's gradient is its starting
+// value plus (Add, Mul) or minus (Sub) its terms in ascending i, one
+// rounding per step, as a plain per-element loop gives it. dY holds +0, -0
+// and NaN, and b's gradient starts at a mix of values and zeros of either
+// sign, so a reordered or regrouped sum shows in the bits.
+TEST(BroadcastBackwardTest, MatchesPerElementReferenceBitwise) {
+  const int m = 5, n = 7;
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  enum class Op { kAdd, kSub, kMul };
+  for (const Shape bshape : {Shape{m, n}, Shape{1, n}, Shape{1, 1}}) {
+    for (const Op op : {Op::kAdd, Op::kSub, Op::kMul}) {
+      for (const bool with_nan : {false, true}) {
+        const uint32_t salt = 400u + static_cast<uint32_t>(op) * 7u +
+                              static_cast<uint32_t>(bshape.numel());
+        const std::vector<float> a_data = Values(int64_t{m} * n, 0.2f, salt);
+        const std::vector<float> b_data = Values(bshape.numel(), 0.2f, ~salt);
+        std::vector<float> dy = Values(int64_t{m} * n, 0.3f, salt * 3u);
+        if (with_nan) dy[static_cast<size_t>(n + 2)] = kNan;
+        const std::vector<float> da0 = Values(int64_t{m} * n, 0.3f, salt * 5u);
+        const std::vector<float> db0 = Values(bshape.numel(), 0.4f, salt * 9u);
+        std::vector<float> want_a = da0, want_b = db0;
+        for (int64_t i = 0; i < int64_t{m} * n; ++i) {
+          const int64_t j = bshape.rows == m ? i : bshape.cols == n ? i % n : 0;
+          switch (op) {
+            case Op::kAdd:
+              want_a[i] += dy[i];
+              want_b[j] += dy[i];
+              break;
+            case Op::kSub:
+              want_a[i] += dy[i];
+              want_b[j] -= dy[i];
+              break;
+            case Op::kMul:
+              want_a[i] += dy[i] * b_data[j];
+              want_b[j] += dy[i] * a_data[i];
+              break;
+          }
+        }
+        Tensor a = Tensor::FromData({m, n}, a_data, /*requires_grad=*/true);
+        Tensor b = Tensor::FromData(bshape, b_data, /*requires_grad=*/true);
+        SetGrad(a, da0);
+        SetGrad(b, db0);
+        Tensor y = op == Op::kAdd   ? Add(a, b)
+                   : op == Op::kSub ? Sub(a, b)
+                                    : Mul(a, b);
+        SetGrad(y, dy);
+        ReadsNothing(y).Backward();
+        const std::string what =
+            std::string(op == Op::kAdd ? "Add" : op == Op::kSub ? "Sub" : "Mul") +
+            " b " + bshape.ToString() + (with_nan ? " NaN in dY" : "");
+        ExpectSameBits(want_a, a.grad_vector(), what + ", dA");
+        ExpectSameBits(want_b, b.grad_vector(), what + ", dB");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pa::tensor
